@@ -22,12 +22,11 @@
 //!   normalized to at most one expiry per transition;
 //! * **quiet event** — the remaining probability.
 
-use crate::useq::{CacheAnalysis, Evaluator};
+use crate::useq::{CacheAnalysis, Evaluator, PairTable};
 use crate::{CsrMatrix, Distribution, MatrixBuilder, ModelError, SwitchModel};
 use flowspace::relevant::{relevant_flow_ids, FlowRates};
 use flowspace::{FlowId, RuleId, RuleSet};
 use ftcache::PolicyKind;
-use std::collections::BTreeMap;
 
 /// Maximum number of rules the bitmask state encoding supports.
 pub const MAX_RULES: usize = 24;
@@ -54,10 +53,10 @@ pub struct CompactModel {
     capacity: usize,
     /// The eviction policy the model assumes the switch runs.
     policy: PolicyKind,
-    /// State bitmasks (bit `i` set ⇔ `RuleId(i)` cached), sorted ascending;
-    /// state 0 is always the empty cache.
+    /// State bitmasks (bit `i` set ⇔ `RuleId(i)` cached), sorted ascending
+    /// so a state's index is a binary search away; state 0 is always the
+    /// empty cache.
     states: Vec<u32>,
-    index: BTreeMap<u32, usize>,
     /// Per-state eviction/timeout analysis from the evaluator.
     analyses: Vec<CacheAnalysis>,
     edges: Vec<Vec<Edge>>,
@@ -72,6 +71,14 @@ fn mask_rules(mask: u32) -> Vec<RuleId> {
         .filter(|b| mask & (1 << b) != 0)
         .map(|b| RuleId(b as usize))
         .collect()
+}
+
+/// Index of the state with bitmask `mask` in the ascending `states`.
+fn state_index(states: &[u32], mask: u32) -> usize {
+    let found = states.binary_search(&mask);
+    // detlint::allow(D4): every mask looked up here is an edge target built
+    // from a state by swapping rules, so it is within capacity and present.
+    found.expect("transition target is a state")
 }
 
 impl CompactModel {
@@ -132,14 +139,17 @@ impl CompactModel {
                 states.push(mask);
             }
         }
-        let index: BTreeMap<u32, usize> = states.iter().enumerate().map(|(i, &m)| (m, i)).collect();
 
+        // One table for all states: the state-invariant upward vectors of
+        // the mean-field kernel are computed once per build.
+        let mut pairs = PairTable::new(r);
         let mut analyses = Vec::with_capacity(states.len());
         let mut edges: Vec<Vec<Edge>> = Vec::with_capacity(states.len());
         for &mask in &states {
             let cached = mask_rules(mask);
             let at_capacity = cached.len() == capacity;
-            let analysis = evaluator.analyze_policy(rules, rates, &cached, at_capacity, policy);
+            let analysis =
+                evaluator.analyze_shared(rules, rates, &cached, at_capacity, policy, &mut pairs);
             let mut row: Vec<(u32, f64, Cause)> = Vec::new();
 
             // Arrival events with the wall-clock-faithful normalization
@@ -213,7 +223,7 @@ impl CompactModel {
             let out: Vec<Edge> = row
                 .into_iter()
                 .map(|(to_mask, w, cause)| Edge {
-                    to: index[&to_mask],
+                    to: state_index(&states, to_mask),
                     prob: w / total,
                     cause,
                 })
@@ -243,7 +253,6 @@ impl CompactModel {
             capacity,
             policy,
             states,
-            index,
             analyses,
             edges,
             matrix,
@@ -285,14 +294,18 @@ impl CompactModel {
         mask_rules(self.states[state])
     }
 
-    /// Index of the state holding exactly `rules`, if representable.
+    /// Index of the state holding exactly `rules`, if representable: `None`
+    /// when the set exceeds the capacity or names a rule outside the model.
     #[must_use]
     pub fn state_of(&self, rules: &[RuleId]) -> Option<usize> {
         let mut mask = 0u32;
         for r in rules {
+            if r.0 >= self.rules.len() {
+                return None;
+            }
             mask |= 1 << r.0;
         }
-        self.index.get(&mask).copied()
+        self.states.binary_search(&mask).ok()
     }
 
     /// The evaluator's eviction/timeout analysis for a state.
@@ -385,12 +398,13 @@ impl SwitchModel for CompactModel {
             let cached = mask_rules(mask);
             debug_assert!(!cached.contains(&install));
             if cached.len() < self.capacity {
-                let to = self.index[&(mask | (1 << install.0))];
+                let to = state_index(&self.states, mask | (1 << install.0));
                 out[to] += mass;
             } else {
                 let analysis = &self.analyses[i];
                 for (pos, &victim) in cached.iter().enumerate() {
-                    let to = self.index[&((mask & !(1 << victim.0)) | (1 << install.0))];
+                    let to =
+                        state_index(&self.states, (mask & !(1 << victim.0)) | (1 << install.0));
                     out[to] += mass * analysis.evict[pos];
                 }
             }
@@ -457,6 +471,74 @@ mod tests {
             assert!(rules.len() <= m.capacity());
         }
         assert_eq!(m.state_of(&[RuleId(0), RuleId(1), RuleId(2)]), None); // over capacity
+    }
+
+    #[test]
+    fn state_of_rejects_rules_outside_the_model() {
+        let m = model(2);
+        assert_eq!(m.state_of(&[RuleId(3)]), None);
+        // Ids past the mask width must not shift out of (or wrap around)
+        // the u32 state mask.
+        assert_eq!(m.state_of(&[RuleId(32)]), None);
+        assert_eq!(m.state_of(&[RuleId(33)]), None);
+        assert_eq!(m.state_of(&[RuleId(0), RuleId(40)]), None);
+        assert_eq!(m.state_of(&[RuleId(usize::MAX)]), None);
+        assert_eq!(m.state_of(&[]), Some(0));
+    }
+
+    #[test]
+    fn build_shares_pair_vectors_bit_exactly() {
+        // Six rules with nested and chained overlaps, so states mix pairs
+        // whose lower rule has one shadowing rule (shared across the
+        // build) and pairs with several (computed per state).
+        let u = 8;
+        let spec: [(&[u32], u32); 6] = [
+            (&[0, 1], 4),
+            (&[1, 2, 3], 7),
+            (&[3, 4], 5),
+            (&[0, 4, 5], 9),
+            (&[5, 6], 3),
+            (&[2, 6, 7], 6),
+        ];
+        let rules = RuleSet::new(
+            spec.iter()
+                .zip((0..60u32).rev())
+                .map(|(&(flows, t), prio)| {
+                    Rule::from_flow_set(
+                        FlowSet::from_flows(u, flows.iter().map(|&f| FlowId(f))),
+                        prio,
+                        Timeout::idle(t),
+                    )
+                })
+                .collect(),
+            u,
+        )
+        .unwrap();
+        let rates = FlowRates::from_per_step(vec![0.12, 0.05, 0.2, 0.0, 0.08, 0.15, 0.1, 0.03]);
+        let bits = |a: &CacheAnalysis| {
+            let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (a.cached.clone(), to_bits(&a.timeout), to_bits(&a.evict))
+        };
+        for policy in PolicyKind::all() {
+            for ev in [
+                Evaluator::mean_field(),
+                Evaluator::MeanFieldRaw { iterations: 4 },
+                Evaluator::monte_carlo(32, 5),
+            ] {
+                let m =
+                    CompactModel::build_with_policy(&rules, &rates, 3, ev.clone(), policy).unwrap();
+                for s in 0..m.n_states() {
+                    let cached = m.state_rules(s);
+                    let at_capacity = cached.len() == m.capacity();
+                    let fresh = ev.analyze_policy(&rules, &rates, &cached, at_capacity, policy);
+                    assert_eq!(
+                        bits(m.analysis(s)),
+                        bits(&fresh),
+                        "{ev:?} {policy} state {s}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,6 +33,36 @@
 //!   crate's tests and measured in the `ablation_evaluators` experiment.
 //! * `Evaluator::MeanFieldRaw` — mean field without the two corrections;
 //!   kept for the ablation.
+//!
+//! # The alive-likelihood kernel
+//!
+//! The upward message dominates the cost of a compact-model build. For a
+//! higher-priority cached rule `hi` at age `u` and an overlapping
+//! lower-priority cached rule `lo` with timeout `t₂`, it is
+//!
+//! ```text
+//! Z_lo(u) = Σ_{u₂=1}^{t₂} γ̃(u₂)·e^{-γ̃(u₂) - C(u₂-1)},
+//! γ̃(k) = base(k) + extra(k)·[k ≥ u],   C(m) = Σ_{k≤m} γ̃(k),
+//! ```
+//!
+//! where `extra` collects the flows `hi` covers. Two identities let the
+//! kernel skip work without changing a single bit of the result:
+//!
+//! * **Terms with `u₂ < u` do not depend on `u`.** They see `base` alone,
+//!   so their running sum over `u₂ = 1, 2, …` is one prefix shared by every
+//!   `u`: `Z_lo(u)` starts from the prefix at `u` and adds only the terms
+//!   `u₂ ≥ u`. That is `Σ_u (t₂−u+1)` exponentials instead of `t·t₂`.
+//! * **A pair whose `lo` has `hi` as its only higher-priority overlapping
+//!   cached rule is state-invariant.** The mean-field discount of `lo`'s
+//!   other shadowing rules is then empty, so `Z_lo(·)` depends only on the
+//!   two rules and the rates. One model build computes it once and shares
+//!   it across states and iterations (`PairTable`).
+//!
+//! Both are bit-exact, not approximately equal: each value is computed from
+//! the same operands by the same float operations, and every sum adds its
+//! terms in the same order as a direct evaluation (the prefix is the
+//! direct loop's own partial sum, stopped at `u`). A `#[cfg(test)]` copy of
+//! the direct kernel is the oracle for this in the tests below.
 
 use flowspace::relevant::FlowRates;
 use flowspace::{RuleId, RuleSet};
@@ -166,6 +196,23 @@ impl Evaluator {
         at_capacity: bool,
         policy: PolicyKind,
     ) -> CacheAnalysis {
+        let mut pairs = PairTable::new(rules.len());
+        self.analyze_shared(rules, rates, cached, at_capacity, policy, &mut pairs)
+    }
+
+    /// [`Evaluator::analyze_policy`] with the state-invariant pair vectors
+    /// kept in `pairs`, so the states of one model build compute each only
+    /// once. Every call sharing a table must pass the same `rules` and
+    /// `rates`; the result is bit-identical to a fresh table's.
+    pub(crate) fn analyze_shared(
+        &self,
+        rules: &RuleSet,
+        rates: &FlowRates,
+        cached: &[RuleId],
+        at_capacity: bool,
+        policy: PolicyKind,
+        pairs: &mut PairTable,
+    ) -> CacheAnalysis {
         let mut sorted = cached.to_vec();
         sorted.sort();
         sorted.dedup();
@@ -179,23 +226,78 @@ impl Evaluator {
         }
         let ctx = Ctx::new(rules, rates, &sorted);
         match *self {
-            Evaluator::Exact { max_sequences } => exact(&ctx, at_capacity, max_sequences, policy),
+            Evaluator::Exact { max_sequences } => {
+                let uncached = ctx.uncached(rules, rates);
+                exact(
+                    &ctx,
+                    |u| ctx.log_p(&uncached, u, at_capacity),
+                    max_sequences,
+                    policy,
+                )
+            }
             Evaluator::MonteCarlo { samples, seed } => {
-                monte_carlo(&ctx, at_capacity, samples, seed, policy)
+                let marg = mean_field_marginals(&ctx, 2, MeanFieldOpts::full(), pairs);
+                let uncached = ctx.uncached(rules, rates);
+                monte_carlo(
+                    &ctx,
+                    &marg,
+                    |u| ctx.log_p(&uncached, u, at_capacity),
+                    samples,
+                    seed,
+                    policy,
+                )
             }
             Evaluator::MeanField { iterations } => {
-                mean_field(&ctx, iterations, MeanFieldOpts::full(), policy)
+                let marg = mean_field_marginals(&ctx, iterations, MeanFieldOpts::full(), pairs);
+                mean_field(&ctx, &marg, policy)
             }
             Evaluator::MeanFieldRaw { iterations } => {
-                mean_field(&ctx, iterations, MeanFieldOpts::raw(), policy)
+                let marg = mean_field_marginals(&ctx, iterations, MeanFieldOpts::raw(), pairs);
+                mean_field(&ctx, &marg, policy)
             }
         }
     }
 }
 
+/// The upward alive-likelihood vectors of state-invariant pairs (see the
+/// module docs), keyed by rule ids: entry `(hi, lo)` holds
+/// `max(Z_lo(u), 1e-300)` for `u = 1..=t_hi`, valid for every state in
+/// which `hi` is `lo`'s only higher-priority overlapping cached rule.
+pub(crate) struct PairTable {
+    n_rules: usize,
+    z: Vec<Option<Vec<f64>>>,
+}
+
+impl PairTable {
+    /// An empty table for a rule set of `n_rules` rules.
+    pub(crate) fn new(n_rules: usize) -> Self {
+        PairTable {
+            n_rules,
+            z: vec![None; n_rules * n_rules],
+        }
+    }
+
+    fn get_or_insert_with(
+        &mut self,
+        hi: RuleId,
+        lo: RuleId,
+        compute: impl FnOnce() -> Vec<f64>,
+    ) -> &[f64] {
+        self.z[hi.0 * self.n_rules + lo.0].get_or_insert_with(compute)
+    }
+}
+
+/// One flow of a rule's cover: its per-step rate `λΔ`, and the positions of
+/// the higher-priority cached rules that overlap the rule and cover this
+/// flow, ascending. Found once per state, so no evaluator loop tests flow
+/// coverage.
+struct FlowTerm {
+    rate: f64,
+    shadow: Vec<usize>,
+}
+
 /// Precomputed per-state context shared by the evaluators.
-struct Ctx<'a> {
-    rules: &'a RuleSet,
+struct Ctx {
     /// Cached rules, ascending id (= descending priority).
     cached: Vec<RuleId>,
     /// Timeout (steps) of each cached rule.
@@ -203,53 +305,68 @@ struct Ctx<'a> {
     /// For each cached rule (by position), the positions of the
     /// higher-priority cached rules that overlap it.
     hp_cached: Vec<Vec<usize>>,
-    /// Per-flow per-step rates of each cached rule's cover.
-    flow_rates: Vec<Vec<(usize, f64)>>, // (flow index, λΔ)
-    /// For each *uncached* rule: (timeout, its per-flow rates, positions of
-    /// higher-priority cached rules that overlap it).
-    uncached: Vec<UncachedRule>,
+    /// Each cached rule's cover, flow by flow.
+    flows: Vec<Vec<FlowTerm>>,
 }
 
-/// Timeout, per-flow `(flow index, λΔ)` rates, and higher-priority cached
-/// overlap positions of one uncached rule.
-type UncachedRule = (u32, Vec<(usize, f64)>, Vec<usize>);
+/// Timeout and cover of one *uncached* rule, for the quiet factor of
+/// `log P(u)`.
+type UncachedRule = (u32, Vec<FlowTerm>);
 
-impl<'a> Ctx<'a> {
-    fn new(rules: &'a RuleSet, rates: &'a FlowRates, cached: &[RuleId]) -> Self {
-        let t: Vec<u32> = cached
+/// Positions in `cached` of the higher-priority cached rules overlapping
+/// rule `j`.
+fn higher_cached(rules: &RuleSet, cached: &[RuleId], j: RuleId) -> Vec<usize> {
+    cached
+        .iter()
+        .enumerate()
+        .filter(|&(_, &j2)| rules.outranks(j2, j) && rules.rule(j2).overlaps(rules.rule(j)))
+        .map(|(pos, _)| pos)
+        .collect()
+}
+
+/// Rule `j`'s cover as flow terms, shadowed by the cached positions `hp`.
+fn cover_terms(
+    rules: &RuleSet,
+    rates: &FlowRates,
+    cached: &[RuleId],
+    j: RuleId,
+    hp: &[usize],
+) -> Vec<FlowTerm> {
+    rules
+        .rule(j)
+        .covers()
+        .iter()
+        .map(|f| FlowTerm {
+            rate: rates.rate(f),
+            shadow: hp
+                .iter()
+                .copied()
+                .filter(|&h| rules.rule(cached[h]).covers_flow(f))
+                .collect(),
+        })
+        .collect()
+}
+
+impl Ctx {
+    fn new(rules: &RuleSet, rates: &FlowRates, cached: &[RuleId]) -> Self {
+        let t = cached
             .iter()
             .map(|&j| rules.rule(j).timeout().steps)
             .collect();
-        let cover_rates = |j: RuleId| -> Vec<(usize, f64)> {
-            rules
-                .rule(j)
-                .covers()
-                .iter()
-                .map(|f| (f.index(), rates.rate(f)))
-                .collect()
-        };
-        let hp_of = |j: RuleId| -> Vec<usize> {
-            cached
-                .iter()
-                .enumerate()
-                .filter(|&(_, &j2)| rules.outranks(j2, j) && rules.rule(j2).overlaps(rules.rule(j)))
-                .map(|(pos, _)| pos)
-                .collect()
-        };
-        let hp_cached = cached.iter().map(|&j| hp_of(j)).collect();
-        let flow_rates = cached.iter().map(|&j| cover_rates(j)).collect();
-        let uncached = rules
-            .ids()
-            .filter(|j| !cached.contains(j))
-            .map(|j| (rules.rule(j).timeout().steps, cover_rates(j), hp_of(j)))
+        let hp_cached: Vec<Vec<usize>> = cached
+            .iter()
+            .map(|&j| higher_cached(rules, cached, j))
+            .collect();
+        let flows = cached
+            .iter()
+            .zip(&hp_cached)
+            .map(|(&j, hp)| cover_terms(rules, rates, cached, j, hp))
             .collect();
         Ctx {
-            rules,
             cached: cached.to_vec(),
             t,
             hp_cached,
-            flow_rates,
-            uncached,
+            flows,
         }
     }
 
@@ -257,40 +374,46 @@ impl<'a> Ctx<'a> {
         self.cached.len()
     }
 
-    /// γ_u(pos, k): effective rate of the cached rule at `pos` at step
+    /// The rules outside the cache, which only `log P(u)` reads.
+    fn uncached(&self, rules: &RuleSet, rates: &FlowRates) -> Vec<UncachedRule> {
+        rules
+            .ids()
+            .filter(|j| !self.cached.contains(j))
+            .map(|j| {
+                let hp = higher_cached(rules, &self.cached, j);
+                (
+                    rules.rule(j).timeout().steps,
+                    cover_terms(rules, rates, &self.cached, j, &hp),
+                )
+            })
+            .collect()
+    }
+
+    /// γ_u(j, k): effective rate of a rule with cover `terms` at step
     /// `ℓ-k`, given the full assignment `u` (ages of all cached rules).
     /// A flow is excluded if some higher-priority overlapping cached rule
-    /// has `u > k` (it was already in the cache then and would match first).
-    fn gamma_at(&self, flow_rates: &[(usize, f64)], hp: &[usize], u: &[u32], k: u32) -> f64 {
-        flow_rates
+    /// covering it has `u > k` (it was already in the cache then and would
+    /// match first).
+    fn gamma_at(terms: &[FlowTerm], u: &[u32], k: u32) -> f64 {
+        terms
             .iter()
-            .filter(|&&(f, _)| {
-                !hp.iter().any(|&h| {
-                    u[h] > k
-                        && self
-                            .rules
-                            .rule(self.cached[h])
-                            .covers_flow(flowspace::FlowId(f as u32))
-                })
-            })
-            .map(|&(_, r)| r)
+            .filter(|ft| !ft.shadow.iter().any(|&h| u[h] > k))
+            .map(|ft| ft.rate)
             .sum()
     }
 
     /// `log P(u)` for a complete injective assignment.
-    fn log_p(&self, u: &[u32], at_capacity: bool) -> f64 {
+    fn log_p(&self, uncached: &[UncachedRule], u: &[u32], at_capacity: bool) -> f64 {
         let mut log_p = 0.0f64;
-        for pos in 0..self.n() {
-            let fr = &self.flow_rates[pos];
-            let hp = &self.hp_cached[pos];
+        for (pos, terms) in self.flows.iter().enumerate() {
             // Match at age u(pos): γ·e^{-γ}; quiet before that: e^{-γ(k)}.
-            let g_match = self.gamma_at(fr, hp, u, u[pos]);
+            let g_match = Self::gamma_at(terms, u, u[pos]);
             if g_match <= 0.0 {
                 return f64::NEG_INFINITY; // impossible assignment
             }
             log_p += g_match.ln() - g_match;
             for k in 1..u[pos] {
-                log_p -= self.gamma_at(fr, hp, u, k);
+                log_p -= Self::gamma_at(terms, u, k);
             }
         }
         // Rules not in the cache must not have been installed.
@@ -300,13 +423,13 @@ impl<'a> Ctx<'a> {
         } else {
             None
         };
-        for (t_j, fr, hp) in &self.uncached {
+        for (t_j, terms) in uncached {
             let limit = match u_max_cap {
                 Some(min_rem) => t_j.saturating_sub(min_rem),
                 None => *t_j,
             };
             for k in 1..=limit {
-                log_p -= self.gamma_at(fr, hp, u, k);
+                log_p -= Self::gamma_at(terms, u, k);
             }
         }
         log_p
@@ -329,7 +452,7 @@ impl Sums {
         }
     }
 
-    fn add(&mut self, ctx: &Ctx<'_>, u: &[u32], w: f64, policy: PolicyKind) {
+    fn add(&mut self, ctx: &Ctx, u: &[u32], w: f64, policy: PolicyKind) {
         if w <= 0.0 {
             return;
         }
@@ -400,9 +523,10 @@ impl Sums {
     }
 }
 
+/// Exact enumeration, weighting each injective `u` by `exp(log_p(u))`.
 fn exact(
-    ctx: &Ctx<'_>,
-    at_capacity: bool,
+    ctx: &Ctx,
+    log_p: impl Fn(&[u32]) -> f64,
     max_sequences: u64,
     policy: PolicyKind,
 ) -> CacheAnalysis {
@@ -419,20 +543,20 @@ fn exact(
     );
     let mut sums = Sums::new(n);
     let mut u = vec![0u32; n];
-    enumerate(ctx, at_capacity, &mut u, 0, &mut sums, policy);
+    enumerate(ctx, &log_p, &mut u, 0, &mut sums, policy);
     sums.finish(ctx.cached.clone())
 }
 
 fn enumerate(
-    ctx: &Ctx<'_>,
-    at_capacity: bool,
+    ctx: &Ctx,
+    log_p: &impl Fn(&[u32]) -> f64,
     u: &mut Vec<u32>,
     pos: usize,
     sums: &mut Sums,
     policy: PolicyKind,
 ) {
     if pos == ctx.n() {
-        let w = ctx.log_p(u, at_capacity).exp();
+        let w = log_p(u).exp();
         sums.add(ctx, u, w, policy);
         return;
     }
@@ -441,30 +565,11 @@ fn enumerate(
             continue; // injectivity
         }
         u[pos] = v;
-        enumerate(ctx, at_capacity, u, pos + 1, sums, policy);
+        enumerate(ctx, log_p, u, pos + 1, sums, policy);
     }
     u[pos] = 0;
 }
 
-/// Mean-field age marginals: `marginals[pos][k-1] = P(u(pos) = k | alive)`.
-///
-/// Two coupling directions are propagated through the fixed point:
-///
-/// * **downward** — a lower-priority rule's effective rate γ̄(k) discounts
-///   flows by the probability that a covering higher-priority cached rule
-///   was already matched (survival beyond `k`);
-/// * **upward** — a higher-priority rule's age is *reweighted by the
-///   likelihood that each lower-priority overlapping rule is alive at all*:
-///   when the high-priority rule matched recently, the low-priority rule
-///   saw fewer relevant flows and is less likely to still be cached, so
-///   conditioning on the observed cache contents shifts the
-///   high-priority age toward "recent".
-///
-/// The injectivity constraint on `u` (only one flow arrives per step, so
-/// two rules cannot share a most-recent-match age) is applied as a
-/// first-order pairwise exclusion: each age weight is discounted by the
-/// probability that any other cached rule holds the same age. Its residual
-/// error is bounded by the exact evaluator in tests.
 /// Which mean-field correction terms to apply.
 #[derive(Debug, Clone, Copy)]
 struct MeanFieldOpts {
@@ -488,8 +593,131 @@ impl MeanFieldOpts {
     }
 }
 
-fn mean_field_marginals(ctx: &Ctx<'_>, iterations: usize, opts: MeanFieldOpts) -> Vec<Vec<f64>> {
+/// A lower-priority rule's mean-field effective rate over `k = 1..=t₂`,
+/// split by whether the higher-priority rule of the pair covers the flow:
+/// per step (`base_k`, `extra_k`) and cumulative (`base`, `extra`), each
+/// indexed `0..=t₂` with a zero at 0.
+struct PairRates {
+    base: Vec<f64>,
+    extra: Vec<f64>,
+    base_k: Vec<f64>,
+    extra_k: Vec<f64>,
+}
+
+impl PairRates {
+    /// The split rates of `ctx.flows[lo]` against the higher-priority `hi`.
+    /// Both parts keep the mean-field discount of `lo`'s *other* shadowing
+    /// rules, where `absent[h][k] = P(u(h) ≤ k)`.
+    fn new(ctx: &Ctx, hi: usize, lo: usize, absent: &[Vec<f64>]) -> Self {
+        let t2 = ctx.t[lo] as usize;
+        let mut base = vec![0.0; t2 + 1];
+        let mut extra = vec![0.0; t2 + 1];
+        let mut base_k = vec![0.0; t2 + 1];
+        let mut extra_k = vec![0.0; t2 + 1];
+        for k in 1..=t2 {
+            let mut b = 0.0;
+            let mut e = 0.0;
+            for ft in &ctx.flows[lo] {
+                let mut keep = 1.0;
+                let mut covered_by_hi = false;
+                for &h in &ft.shadow {
+                    if h == hi {
+                        covered_by_hi = true;
+                    } else {
+                        keep *= absent[h][k];
+                    }
+                }
+                if covered_by_hi {
+                    e += ft.rate * keep;
+                } else {
+                    b += ft.rate * keep;
+                }
+            }
+            base_k[k] = b;
+            extra_k[k] = e;
+            base[k] = base[k - 1] + b;
+            extra[k] = extra[k - 1] + e;
+        }
+        PairRates {
+            base,
+            extra,
+            base_k,
+            extra_k,
+        }
+    }
+
+    fn t2(&self) -> usize {
+        self.base_k.len() - 1
+    }
+
+    /// `head[u]` for `u = 1..=t₂+1`: the running sum of `Z`'s terms
+    /// `u₂ < u`, which see `base` alone and so are shared by every `u`.
+    fn head(&self) -> Vec<f64> {
+        let t2 = self.t2();
+        let mut head = vec![0.0; t2 + 2];
+        for u2 in 1..=t2 {
+            let g = self.base_k[u2];
+            head[u2 + 1] = if g > 0.0 {
+                head[u2] + g * (-g - self.base[u2 - 1]).exp()
+            } else {
+                head[u2]
+            };
+        }
+        head
+    }
+
+    /// `max(Z(u), 1e-300)`: `head[u]` plus the `u`-dependent terms
+    /// `u₂ ≥ u`, in the direct sum's order.
+    fn z(&self, head: &[f64], u: usize) -> f64 {
+        let t2 = self.t2();
+        let mut z = head[u.min(t2 + 1)];
+        for u2 in u..=t2 {
+            let g = self.base_k[u2] + self.extra_k[u2];
+            // C(u₂ - 1) = Σ_{k<u₂} γ̃(k), where γ̃ gains `extra` from k = u.
+            let mm = u2 - 1;
+            let cum = self.base[mm]
+                + if mm >= u {
+                    self.extra[mm] - self.extra[u - 1]
+                } else {
+                    0.0
+                };
+            if g > 0.0 {
+                z += g * (-g - cum).exp();
+            }
+        }
+        z.max(1e-300)
+    }
+}
+
+/// Mean-field age marginals: `marginals[pos][k-1] = P(u(pos) = k | alive)`.
+///
+/// Two coupling directions are propagated through the fixed point:
+///
+/// * **downward** — a lower-priority rule's effective rate γ̄(k) discounts
+///   flows by the probability that a covering higher-priority cached rule
+///   was already matched (survival beyond `k`);
+/// * **upward** — a higher-priority rule's age is *reweighted by the
+///   likelihood that each lower-priority overlapping rule is alive at all*:
+///   when the high-priority rule matched recently, the low-priority rule
+///   saw fewer relevant flows and is less likely to still be cached, so
+///   conditioning on the observed cache contents shifts the
+///   high-priority age toward "recent".
+///
+/// The injectivity constraint on `u` (only one flow arrives per step, so
+/// two rules cannot share a most-recent-match age) is applied as a
+/// first-order pairwise exclusion: each age weight is discounted by the
+/// probability that any other cached rule holds the same age. Its residual
+/// error is bounded by the exact evaluator in tests.
+///
+/// State-invariant upward vectors are read from and stored in `pairs`.
+fn mean_field_marginals(
+    ctx: &Ctx,
+    iterations: usize,
+    opts: MeanFieldOpts,
+    pairs: &mut PairTable,
+) -> Vec<Vec<f64>> {
     let n = ctx.n();
+    let t_max = ctx.t.iter().copied().max().unwrap_or(0) as usize;
     // Initialize with uniform ages.
     let mut marg: Vec<Vec<f64>> = (0..n)
         .map(|pos| vec![1.0 / f64::from(ctx.t[pos]); ctx.t[pos] as usize])
@@ -503,8 +731,10 @@ fn mean_field_marginals(ctx: &Ctx<'_>, iterations: usize, opts: MeanFieldOpts) -
         })
         .collect();
     for _ in 0..iterations.max(1) {
-        // Survival s[pos][k] = P(u(pos) > k), k in 0..=t (s[t] = 0).
-        let survival: Vec<Vec<f64>> = marg
+        // absent[pos][k] = 1 - P(u(pos) > k) for k in 0..=t_max: the
+        // probability that the rule was not yet cached at step ℓ-k, so it
+        // lets the flows it covers through to lower-priority rules.
+        let absent: Vec<Vec<f64>> = marg
             .iter()
             .map(|m| {
                 let mut s = vec![0.0; m.len() + 1];
@@ -513,38 +743,26 @@ fn mean_field_marginals(ctx: &Ctx<'_>, iterations: usize, opts: MeanFieldOpts) -
                     acc += m[k];
                     s[k] = acc;
                 }
-                s
+                (0..=t_max)
+                    .map(|k| 1.0 - s.get(k).copied().unwrap_or(0.0))
+                    .collect()
             })
             .collect();
-        let surv = |pos: usize, k: usize| -> f64 {
-            let s = &survival[pos];
-            if k < s.len() {
-                s[k]
-            } else {
-                0.0
-            }
-        };
         let mut next = Vec::with_capacity(n);
         for (pos, down_of_pos) in down.iter().enumerate() {
             let t = ctx.t[pos] as usize;
-            let fr = &ctx.flow_rates[pos];
-            let hp = &ctx.hp_cached[pos];
+            let terms = &ctx.flows[pos];
             // Downward prior: γ̄(k) with each higher-priority overlap
             // present w.p. its survival beyond k.
             let gamma_bar = |k: usize| -> f64 {
-                fr.iter()
-                    .map(|&(f, r)| {
+                terms
+                    .iter()
+                    .map(|ft| {
                         let mut keep = 1.0;
-                        for &h in hp {
-                            if ctx
-                                .rules
-                                .rule(ctx.cached[h])
-                                .covers_flow(flowspace::FlowId(f as u32))
-                            {
-                                keep *= 1.0 - surv(h, k);
-                            }
+                        for &h in &ft.shadow {
+                            keep *= absent[h][k];
                         }
-                        r * keep
+                        ft.rate * keep
                     })
                     .sum()
             };
@@ -564,60 +782,26 @@ fn mean_field_marginals(ctx: &Ctx<'_>, iterations: usize, opts: MeanFieldOpts) -
             // given u(pos) = u (other couplings at their mean field).
             let down_of_pos: &[usize] = if opts.upward { down_of_pos } else { &[] };
             for &pos2 in down_of_pos {
-                let t2 = ctx.t[pos2] as usize;
-                // Split pos2's flows into those covered by pos (gated by
-                // [k ≥ u]) and the rest; both keep the mean-field discount
-                // of pos2's *other* higher-priority overlaps.
-                let mut base = vec![0.0; t2 + 1]; // prefix sums over k=1..t2
-                let mut extra = vec![0.0; t2 + 1];
-                let mut base_k = vec![0.0; t2 + 1];
-                let mut extra_k = vec![0.0; t2 + 1];
-                for k in 1..=t2 {
-                    let mut b = 0.0;
-                    let mut e = 0.0;
-                    for &(f, r) in &ctx.flow_rates[pos2] {
-                        let fid = flowspace::FlowId(f as u32);
-                        let mut keep = 1.0;
-                        for &h in &ctx.hp_cached[pos2] {
-                            if h != pos && ctx.rules.rule(ctx.cached[h]).covers_flow(fid) {
-                                keep *= 1.0 - surv(h, k);
-                            }
-                        }
-                        if ctx.rules.rule(ctx.cached[pos]).covers_flow(fid) {
-                            e += r * keep;
-                        } else {
-                            b += r * keep;
+                if ctx.hp_cached[pos2].len() == 1 {
+                    // pos is pos2's only shadowing rule: state-invariant.
+                    let z = pairs.get_or_insert_with(ctx.cached[pos], ctx.cached[pos2], || {
+                        let pair = PairRates::new(ctx, pos, pos2, &absent);
+                        let head = pair.head();
+                        (1..=t).map(|u| pair.z(&head, u)).collect()
+                    });
+                    for (w, &z_u) in m.iter_mut().zip(z) {
+                        if *w != 0.0 {
+                            *w *= z_u;
                         }
                     }
-                    base_k[k] = b;
-                    extra_k[k] = e;
-                    base[k] = base[k - 1] + b;
-                    extra[k] = extra[k - 1] + e;
-                }
-                for (u_idx, w) in m.iter_mut().enumerate() {
-                    if *w == 0.0 {
-                        continue;
-                    }
-                    let u = u_idx + 1;
-                    // γ̃(k) = base(k) + extra(k)·[k ≥ u];
-                    // C(m) = Σ_{k≤m} γ̃(k).
-                    let cum = |mm: usize| -> f64 {
-                        let mm = mm.min(t2);
-                        base[mm]
-                            + if mm >= u {
-                                extra[mm] - extra[u - 1]
-                            } else {
-                                0.0
-                            }
-                    };
-                    let mut z = 0.0;
-                    for u2 in 1..=t2 {
-                        let g = base_k[u2] + if u2 >= u { extra_k[u2] } else { 0.0 };
-                        if g > 0.0 {
-                            z += g * (-g - cum(u2 - 1)).exp();
+                } else {
+                    let pair = PairRates::new(ctx, pos, pos2, &absent);
+                    let head = pair.head();
+                    for (u_idx, w) in m.iter_mut().enumerate() {
+                        if *w != 0.0 {
+                            *w *= pair.z(&head, u_idx + 1);
                         }
                     }
-                    *w *= z.max(1e-300);
                 }
             }
             // Pairwise injectivity exclusion: u(pos) cannot equal u(j').
@@ -645,14 +829,9 @@ fn mean_field_marginals(ctx: &Ctx<'_>, iterations: usize, opts: MeanFieldOpts) -
     marg
 }
 
-fn mean_field(
-    ctx: &Ctx<'_>,
-    iterations: usize,
-    opts: MeanFieldOpts,
-    policy: PolicyKind,
-) -> CacheAnalysis {
+/// Timeout and eviction estimates from the age marginals `marg`.
+fn mean_field(ctx: &Ctx, marg: &[Vec<f64>], policy: PolicyKind) -> CacheAnalysis {
     let n = ctx.n();
-    let marg = mean_field_marginals(ctx, iterations, opts);
     // Timeout: P(u = t | alive) directly from the marginal.
     let timeout: Vec<f64> = (0..n)
         .map(|pos| *marg[pos].last().expect("t >= 1"))
@@ -667,7 +846,7 @@ fn mean_field(
         .collect();
     let evict = match policy {
         PolicyKind::Srt => mean_field_evict_srt(ctx, &rem_dist),
-        PolicyKind::Lru => mean_field_evict_lru(&marg),
+        PolicyKind::Lru => mean_field_evict_lru(marg),
         PolicyKind::Fdrc => mean_field_evict_fdrc(ctx, &rem_dist),
     };
     let esum: f64 = evict.iter().sum();
@@ -685,7 +864,7 @@ fn mean_field(
 
 /// Unnormalized `P(rule at pos has the smallest remaining lifetime)` from
 /// the per-rule remaining-time marginals.
-fn mean_field_evict_srt(ctx: &Ctx<'_>, rem_dist: &[Vec<f64>]) -> Vec<f64> {
+fn mean_field_evict_srt(ctx: &Ctx, rem_dist: &[Vec<f64>]) -> Vec<f64> {
     let n = rem_dist.len();
     // Survival over remaining time: S_pos(r) = P(rem ≥ r). The eviction
     // condition (Eqn 4) is *inclusive* — on a tie every tied rule counts —
@@ -780,7 +959,7 @@ fn mean_field_evict_lru(marg: &[Vec<f64>]) -> Vec<f64> {
 /// lifetime (t - u)/t)` — the FDRC-style victim predicate — from the
 /// remaining-time marginals, with the same inclusive-tie accounting and
 /// pairwise shared-age exclusion as the SRT weight.
-fn mean_field_evict_fdrc(ctx: &Ctx<'_>, rem_dist: &[Vec<f64>]) -> Vec<f64> {
+fn mean_field_evict_fdrc(ctx: &Ctx, rem_dist: &[Vec<f64>]) -> Vec<f64> {
     let n = rem_dist.len();
     let mut evict = vec![0.0; n];
     for (pos, ev) in evict.iter_mut().enumerate() {
@@ -817,15 +996,17 @@ fn mean_field_evict_fdrc(ctx: &Ctx<'_>, rem_dist: &[Vec<f64>]) -> Vec<f64> {
     evict
 }
 
+/// Importance sampling of `u` from the proposal marginals `marg`, each
+/// injective sample weighted by `exp(log_p(u)) / q(u)`.
 fn monte_carlo(
-    ctx: &Ctx<'_>,
-    at_capacity: bool,
+    ctx: &Ctx,
+    marg: &[Vec<f64>],
+    log_p: impl Fn(&[u32]) -> f64,
     samples: usize,
     seed: u64,
     policy: PolicyKind,
 ) -> CacheAnalysis {
     let n = ctx.n();
-    let marg = mean_field_marginals(ctx, 2, MeanFieldOpts::full());
     let mut rng = StdRng::seed_from_u64(seed);
     let mut sums = Sums::new(n);
     let mut u = vec![0u32; n];
@@ -858,16 +1039,311 @@ fn monte_carlo(
         if !ok {
             continue;
         }
-        let w = (ctx.log_p(&u, at_capacity) - log_q).exp();
+        let w = (log_p(&u) - log_q).exp();
         sums.add(ctx, &u, w, policy);
     }
     sums.finish(ctx.cached.clone())
+}
+
+/// The direct evaluation the kernel above replaced, kept verbatim as the
+/// bit-identity oracle: its own context (flow coverage tested in the inner
+/// loops), `log P(u)`, and the mean-field marginals with the full
+/// `t·t₂` upward loop.
+#[cfg(test)]
+mod reference {
+    use super::MeanFieldOpts;
+    use flowspace::relevant::FlowRates;
+    use flowspace::{RuleId, RuleSet};
+
+    /// Precomputed per-state context shared by the evaluators.
+    pub(super) struct Ctx<'a> {
+        rules: &'a RuleSet,
+        /// Cached rules, ascending id (= descending priority).
+        cached: Vec<RuleId>,
+        /// Timeout (steps) of each cached rule.
+        t: Vec<u32>,
+        /// For each cached rule (by position), the positions of the
+        /// higher-priority cached rules that overlap it.
+        hp_cached: Vec<Vec<usize>>,
+        /// Per-flow per-step rates of each cached rule's cover.
+        flow_rates: Vec<Vec<(usize, f64)>>, // (flow index, λΔ)
+        /// For each *uncached* rule: (timeout, its per-flow rates, positions of
+        /// higher-priority cached rules that overlap it).
+        uncached: Vec<UncachedRule>,
+    }
+
+    /// Timeout, per-flow `(flow index, λΔ)` rates, and higher-priority cached
+    /// overlap positions of one uncached rule.
+    type UncachedRule = (u32, Vec<(usize, f64)>, Vec<usize>);
+
+    impl<'a> Ctx<'a> {
+        pub(super) fn new(rules: &'a RuleSet, rates: &'a FlowRates, cached: &[RuleId]) -> Self {
+            let t: Vec<u32> = cached
+                .iter()
+                .map(|&j| rules.rule(j).timeout().steps)
+                .collect();
+            let cover_rates = |j: RuleId| -> Vec<(usize, f64)> {
+                rules
+                    .rule(j)
+                    .covers()
+                    .iter()
+                    .map(|f| (f.index(), rates.rate(f)))
+                    .collect()
+            };
+            let hp_of = |j: RuleId| -> Vec<usize> {
+                cached
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &j2)| {
+                        rules.outranks(j2, j) && rules.rule(j2).overlaps(rules.rule(j))
+                    })
+                    .map(|(pos, _)| pos)
+                    .collect()
+            };
+            let hp_cached = cached.iter().map(|&j| hp_of(j)).collect();
+            let flow_rates = cached.iter().map(|&j| cover_rates(j)).collect();
+            let uncached = rules
+                .ids()
+                .filter(|j| !cached.contains(j))
+                .map(|j| (rules.rule(j).timeout().steps, cover_rates(j), hp_of(j)))
+                .collect();
+            Ctx {
+                rules,
+                cached: cached.to_vec(),
+                t,
+                hp_cached,
+                flow_rates,
+                uncached,
+            }
+        }
+
+        fn n(&self) -> usize {
+            self.cached.len()
+        }
+
+        /// γ_u(pos, k): effective rate of the cached rule at `pos` at step
+        /// `ℓ-k`, given the full assignment `u` (ages of all cached rules).
+        /// A flow is excluded if some higher-priority overlapping cached rule
+        /// has `u > k` (it was already in the cache then and would match first).
+        fn gamma_at(&self, flow_rates: &[(usize, f64)], hp: &[usize], u: &[u32], k: u32) -> f64 {
+            flow_rates
+                .iter()
+                .filter(|&&(f, _)| {
+                    !hp.iter().any(|&h| {
+                        u[h] > k
+                            && self
+                                .rules
+                                .rule(self.cached[h])
+                                .covers_flow(flowspace::FlowId(f as u32))
+                    })
+                })
+                .map(|&(_, r)| r)
+                .sum()
+        }
+
+        /// `log P(u)` for a complete injective assignment.
+        pub(super) fn log_p(&self, u: &[u32], at_capacity: bool) -> f64 {
+            let mut log_p = 0.0f64;
+            for pos in 0..self.n() {
+                let fr = &self.flow_rates[pos];
+                let hp = &self.hp_cached[pos];
+                // Match at age u(pos): γ·e^{-γ}; quiet before that: e^{-γ(k)}.
+                let g_match = self.gamma_at(fr, hp, u, u[pos]);
+                if g_match <= 0.0 {
+                    return f64::NEG_INFINITY; // impossible assignment
+                }
+                log_p += g_match.ln() - g_match;
+                for k in 1..u[pos] {
+                    log_p -= self.gamma_at(fr, hp, u, k);
+                }
+            }
+            // Rules not in the cache must not have been installed.
+            let u_max_cap = if at_capacity {
+                let min_rem = (0..self.n()).map(|p| self.t[p] - u[p]).min().unwrap_or(0);
+                Some(min_rem)
+            } else {
+                None
+            };
+            for (t_j, fr, hp) in &self.uncached {
+                let limit = match u_max_cap {
+                    Some(min_rem) => t_j.saturating_sub(min_rem),
+                    None => *t_j,
+                };
+                for k in 1..=limit {
+                    log_p -= self.gamma_at(fr, hp, u, k);
+                }
+            }
+            log_p
+        }
+    }
+
+    pub(super) fn mean_field_marginals(
+        ctx: &Ctx<'_>,
+        iterations: usize,
+        opts: MeanFieldOpts,
+    ) -> Vec<Vec<f64>> {
+        let n = ctx.n();
+        // Initialize with uniform ages.
+        let mut marg: Vec<Vec<f64>> = (0..n)
+            .map(|pos| vec![1.0 / f64::from(ctx.t[pos]); ctx.t[pos] as usize])
+            .collect();
+        // down[pos] = cached positions whose effective rate pos influences.
+        let down: Vec<Vec<usize>> = (0..n)
+            .map(|pos| {
+                (0..n)
+                    .filter(|&p2| ctx.hp_cached[p2].contains(&pos))
+                    .collect()
+            })
+            .collect();
+        for _ in 0..iterations.max(1) {
+            // Survival s[pos][k] = P(u(pos) > k), k in 0..=t (s[t] = 0).
+            let survival: Vec<Vec<f64>> = marg
+                .iter()
+                .map(|m| {
+                    let mut s = vec![0.0; m.len() + 1];
+                    let mut acc = 0.0;
+                    for k in (0..m.len()).rev() {
+                        acc += m[k];
+                        s[k] = acc;
+                    }
+                    s
+                })
+                .collect();
+            let surv = |pos: usize, k: usize| -> f64 {
+                let s = &survival[pos];
+                if k < s.len() {
+                    s[k]
+                } else {
+                    0.0
+                }
+            };
+            let mut next = Vec::with_capacity(n);
+            for (pos, down_of_pos) in down.iter().enumerate() {
+                let t = ctx.t[pos] as usize;
+                let fr = &ctx.flow_rates[pos];
+                let hp = &ctx.hp_cached[pos];
+                // Downward prior: γ̄(k) with each higher-priority overlap
+                // present w.p. its survival beyond k.
+                let gamma_bar = |k: usize| -> f64 {
+                    fr.iter()
+                        .map(|&(f, r)| {
+                            let mut keep = 1.0;
+                            for &h in hp {
+                                if ctx
+                                    .rules
+                                    .rule(ctx.cached[h])
+                                    .covers_flow(flowspace::FlowId(f as u32))
+                                {
+                                    keep *= 1.0 - surv(h, k);
+                                }
+                            }
+                            r * keep
+                        })
+                        .sum()
+                };
+                let mut m = vec![0.0; t];
+                let mut quiet = 0.0; // Σ_{k'<k} γ̄(k')
+                for k in 1..=t {
+                    let g = gamma_bar(k);
+                    m[k - 1] = if g > 0.0 {
+                        (g.ln() - g - quiet).exp()
+                    } else {
+                        0.0
+                    };
+                    quiet += g;
+                }
+                // Upward correction: multiply by Π_{pos2 ∈ down(pos)}
+                // Z_{pos2}(u), the alive-likelihood of each influenced rule
+                // given u(pos) = u (other couplings at their mean field).
+                let down_of_pos: &[usize] = if opts.upward { down_of_pos } else { &[] };
+                for &pos2 in down_of_pos {
+                    let t2 = ctx.t[pos2] as usize;
+                    // Split pos2's flows into those covered by pos (gated by
+                    // [k ≥ u]) and the rest; both keep the mean-field discount
+                    // of pos2's *other* higher-priority overlaps.
+                    let mut base = vec![0.0; t2 + 1]; // prefix sums over k=1..t2
+                    let mut extra = vec![0.0; t2 + 1];
+                    let mut base_k = vec![0.0; t2 + 1];
+                    let mut extra_k = vec![0.0; t2 + 1];
+                    for k in 1..=t2 {
+                        let mut b = 0.0;
+                        let mut e = 0.0;
+                        for &(f, r) in &ctx.flow_rates[pos2] {
+                            let fid = flowspace::FlowId(f as u32);
+                            let mut keep = 1.0;
+                            for &h in &ctx.hp_cached[pos2] {
+                                if h != pos && ctx.rules.rule(ctx.cached[h]).covers_flow(fid) {
+                                    keep *= 1.0 - surv(h, k);
+                                }
+                            }
+                            if ctx.rules.rule(ctx.cached[pos]).covers_flow(fid) {
+                                e += r * keep;
+                            } else {
+                                b += r * keep;
+                            }
+                        }
+                        base_k[k] = b;
+                        extra_k[k] = e;
+                        base[k] = base[k - 1] + b;
+                        extra[k] = extra[k - 1] + e;
+                    }
+                    for (u_idx, w) in m.iter_mut().enumerate() {
+                        if *w == 0.0 {
+                            continue;
+                        }
+                        let u = u_idx + 1;
+                        // γ̃(k) = base(k) + extra(k)·[k ≥ u];
+                        // C(m) = Σ_{k≤m} γ̃(k).
+                        let cum = |mm: usize| -> f64 {
+                            let mm = mm.min(t2);
+                            base[mm]
+                                + if mm >= u {
+                                    extra[mm] - extra[u - 1]
+                                } else {
+                                    0.0
+                                }
+                        };
+                        let mut z = 0.0;
+                        for u2 in 1..=t2 {
+                            let g = base_k[u2] + if u2 >= u { extra_k[u2] } else { 0.0 };
+                            if g > 0.0 {
+                                z += g * (-g - cum(u2 - 1)).exp();
+                            }
+                        }
+                        *w *= z.max(1e-300);
+                    }
+                }
+                // Pairwise injectivity exclusion: u(pos) cannot equal u(j').
+                if opts.exclusion {
+                    for (u_idx, w) in m.iter_mut().enumerate() {
+                        for (other, mo) in marg.iter().enumerate() {
+                            if other != pos && u_idx < mo.len() {
+                                *w *= 1.0 - mo[u_idx];
+                            }
+                        }
+                    }
+                }
+                let s: f64 = m.iter().sum();
+                if s > 0.0 {
+                    for x in &mut m {
+                        *x /= s;
+                    }
+                } else {
+                    m.fill(1.0 / t as f64);
+                }
+                next.push(m);
+            }
+            marg = next;
+        }
+        marg
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use flowspace::{FlowId, FlowSet, Rule, Timeout};
+    use proptest::prelude::*;
 
     fn rules_two_disjoint(t0: u32, t1: u32) -> (RuleSet, FlowRates) {
         let u = 4;
@@ -1205,6 +1681,108 @@ mod tests {
             assert!((s - 1.0).abs() < 1e-9, "{ev:?}: {s}");
             for &p in &a.timeout {
                 assert!((0.0..=1.0).contains(&p), "{ev:?}: {p}");
+            }
+        }
+    }
+
+    /// Strategy: 2–6 rules over 6 flows with overlapping covers and
+    /// timeouts up to 12 steps; rule `i` outranks rule `i + 1`.
+    fn rule_set_strategy() -> impl Strategy<Value = RuleSet> {
+        let rule = (1u32..=12, proptest::collection::btree_set(0u32..6, 1..=3));
+        proptest::collection::vec(rule, 2..=6).prop_map(|specs| {
+            let rules = specs
+                .into_iter()
+                .zip((0..100u32).rev())
+                .map(|((t, flows), prio)| {
+                    Rule::from_flow_set(
+                        FlowSet::from_flows(6, flows.into_iter().map(FlowId)),
+                        prio,
+                        Timeout::idle(t),
+                    )
+                })
+                .collect();
+            RuleSet::new(rules, 6).expect("distinct priorities")
+        })
+    }
+
+    /// Strategy: per-step rates with some silent and some near-silent
+    /// flows, so the `γ = 0` branches and tiny-`γ` terms run too.
+    fn rates_strategy() -> impl Strategy<Value = FlowRates> {
+        proptest::collection::vec(0.0f64..0.4, 6).prop_map(|v| {
+            let rate = |r: f64| match r {
+                r if r < 0.04 => 0.0,
+                r if r < 0.08 => r * 1e-3,
+                r => r,
+            };
+            FlowRates::from_per_step(v.into_iter().map(rate).collect())
+        })
+    }
+
+    type Bits = (Vec<RuleId>, Vec<u64>, Vec<u64>);
+
+    fn bits(a: &CacheAnalysis) -> Bits {
+        let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (a.cached.clone(), to_bits(&a.timeout), to_bits(&a.evict))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every evaluator and policy gives the same bits as the direct
+        /// evaluation in `reference`: the prefix-summed upward loop, the
+        /// pair table and the hoisted coverage lists change no float
+        /// operation. Monte Carlo and exact also check the hoisted
+        /// `log P(u)`.
+        #[test]
+        fn kernel_is_bit_identical_to_the_direct_evaluation(
+            rules in rule_set_strategy(),
+            rates in rates_strategy(),
+            picks in proptest::collection::btree_set(0usize..6, 1..=4),
+            full in 0u8..2,
+            seed in 0u64..1000,
+        ) {
+            let cached: Vec<RuleId> = picks
+                .into_iter()
+                .filter(|&j| j < rules.len())
+                .map(RuleId)
+                .collect();
+            prop_assume!(!cached.is_empty());
+            let at_capacity = full == 1;
+            let ctx = Ctx::new(&rules, &rates, &cached);
+            let old = reference::Ctx::new(&rules, &rates, &cached);
+            let old_log_p = |u: &[u32]| old.log_p(u, at_capacity);
+            let sequences: u32 = ctx.t.iter().product();
+            for policy in PolicyKind::all() {
+                let marginals =
+                    |iterations, opts| reference::mean_field_marginals(&old, iterations, opts);
+                let mut cases = vec![
+                    (
+                        Evaluator::mean_field(),
+                        mean_field(&ctx, &marginals(4, MeanFieldOpts::full()), policy),
+                    ),
+                    (
+                        Evaluator::MeanFieldRaw { iterations: 4 },
+                        mean_field(&ctx, &marginals(4, MeanFieldOpts::raw()), policy),
+                    ),
+                    (
+                        Evaluator::monte_carlo(64, seed),
+                        monte_carlo(
+                            &ctx,
+                            &marginals(2, MeanFieldOpts::full()),
+                            old_log_p,
+                            64,
+                            seed,
+                            policy,
+                        ),
+                    ),
+                ];
+                if sequences <= 3000 {
+                    cases.push((Evaluator::exact(), exact(&ctx, old_log_p, u64::MAX, policy)));
+                }
+                for (ev, want) in cases {
+                    let got = ev.analyze_policy(&rules, &rates, &cached, at_capacity, policy);
+                    prop_assert_eq!(bits(&got), bits(&want), "{:?} under {}", ev, policy);
+                }
             }
         }
     }
