@@ -6,8 +6,6 @@
 //! timeout behavior must be estimated probabilistically, which is the job
 //! of the [`useq`](crate::useq) evaluators.
 //!
-//! Transition structure out of a state `S`:
-//!
 //! Transitions out of a state `S` are assembled from three event kinds
 //! (see the [`basic`](crate::basic) module docs for the normalization
 //! rationale):
@@ -21,29 +19,48 @@
 //!   per-step hazard `P(rule should time out | cached)` (§IV-B2, Fig. 5),
 //!   normalized to at most one expiry per transition;
 //! * **quiet event** — the remaining probability.
+//!
+//! # Building
+//!
+//! The per-state evaluator analyses are independent of each other and
+//! dominate the build, so they fan out with
+//! [`map_indexed`](crate::exec::map_indexed) under
+//! [`ExecPolicy::auto`]: one thread per available core, the calling thread
+//! included. Models under 256 states, which build in microseconds, run
+//! serially instead. The thread count is not taken from a caller's `--threads`;
+//! `build` has no policy parameter, and one arrives with the single
+//! planning entry point rather than a `build_with_exec` variant. The
+//! analyses share one `PairTable` whose entries are pure functions of the
+//! rule pair and the rates, so the model is bit-identical at any thread
+//! count.
+//!
+//! The transition rows are then built serially on the calling thread, in
+//! state order. The rows are most of the model's allocations; building
+//! them in the workers instead put them in the workers' malloc arenas and
+//! raised the benchmark's peak RSS by about 7%.
+//!
+//! Rows are not stored: one function, `state_row`, derives a state's row
+//! from its analysis, both for the transition matrix and, with a target
+//! flow, for the substochastic [`SwitchModel::absent_matrix`]. Effective
+//! rates come from per-flow cover bitmasks, so a row needs no `FlowSet`
+//! arithmetic; the sums still add the same rates in the same order as
+//! [`relevant_flow_ids`](flowspace::relevant::relevant_flow_ids).
 
+use crate::counts::compact_state_count;
+use crate::exec::{map_indexed, ExecPolicy};
 use crate::useq::{CacheAnalysis, Evaluator, PairTable};
 use crate::{CsrMatrix, Distribution, MatrixBuilder, ModelError, SwitchModel};
-use flowspace::relevant::{relevant_flow_ids, FlowRates};
+use flowspace::relevant::FlowRates;
 use flowspace::{FlowId, RuleId, RuleSet};
 use ftcache::PolicyKind;
 
 /// Maximum number of rules the bitmask state encoding supports.
 pub const MAX_RULES: usize = 24;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Cause {
-    Quiet,
-    Timeout(RuleId),
-    Arrival(RuleId),
-}
-
-#[derive(Debug, Clone)]
-struct Edge {
-    to: usize,
-    prob: f64,
-    cause: Cause,
-}
+/// Models with fewer states build serially: asking for the core count and
+/// spawning a worker cost more (tens of µs) than a small model's whole
+/// build.
+const PARALLEL_MIN_STATES: u128 = 256;
 
 /// The compact Markov model over cached-rule subsets (§IV-B).
 #[derive(Debug, Clone)]
@@ -59,11 +76,12 @@ pub struct CompactModel {
     states: Vec<u32>,
     /// Per-state eviction/timeout analysis from the evaluator.
     analyses: Vec<CacheAnalysis>,
-    edges: Vec<Vec<Edge>>,
     matrix: CsrMatrix,
     /// Per-flow mask of the rules covering it, so probe-hit checks are a
     /// single AND instead of a walk over the cached rules.
     cover_masks: Vec<u32>,
+    /// Per-rule list of the flows it covers, ascending.
+    covered: Vec<Vec<FlowId>>,
 }
 
 fn mask_rules(mask: u32) -> Vec<RuleId> {
@@ -120,6 +138,26 @@ impl CompactModel {
         evaluator: Evaluator,
         policy: PolicyKind,
     ) -> Result<Self, ModelError> {
+        let parallel = compact_state_count(rules.len(), capacity)
+            .is_some_and(|states| states >= PARALLEL_MIN_STATES);
+        let exec = if parallel {
+            ExecPolicy::auto()
+        } else {
+            ExecPolicy::Serial
+        };
+        Self::build_exec(rules, rates, capacity, evaluator, policy, exec)
+    }
+
+    /// The build, with the per-state analyses scheduled under `exec` (see
+    /// the module docs). The result is bit-identical under every `exec`.
+    fn build_exec(
+        rules: &RuleSet,
+        rates: &FlowRates,
+        capacity: usize,
+        evaluator: Evaluator,
+        policy: PolicyKind,
+        exec: ExecPolicy,
+    ) -> Result<Self, ModelError> {
         if rules.len() > MAX_RULES {
             return Err(ModelError::TooManyRules {
                 found: rules.len(),
@@ -132,113 +170,19 @@ impl CompactModel {
                 rates: rates.universe_size(),
             });
         }
-        let r = rules.len();
-        let mut states = Vec::new();
-        for mask in 0u32..(1u32 << r) {
-            if (mask.count_ones() as usize) <= capacity {
-                states.push(mask);
-            }
-        }
+        let states: Vec<u32> = (0u32..(1u32 << rules.len()))
+            .filter(|mask| (mask.count_ones() as usize) <= capacity)
+            .collect();
 
         // One table for all states: the state-invariant upward vectors of
         // the mean-field kernel are computed once per build.
-        let mut pairs = PairTable::new(r);
-        let mut analyses = Vec::with_capacity(states.len());
-        let mut edges: Vec<Vec<Edge>> = Vec::with_capacity(states.len());
-        for &mask in &states {
-            let cached = mask_rules(mask);
+        let pairs = PairTable::new(rules.len());
+        let analyses = map_indexed(exec, states.len(), |s| {
+            let cached = mask_rules(states[s]);
             let at_capacity = cached.len() == capacity;
-            let analysis =
-                evaluator.analyze_shared(rules, rates, &cached, at_capacity, policy, &mut pairs);
-            let mut row: Vec<(u32, f64, Cause)> = Vec::new();
+            evaluator.analyze_shared(rules, rates, &cached, at_capacity, policy, &pairs)
+        });
 
-            // Arrival events with the wall-clock-faithful normalization
-            // (see the `basic` module docs): P(arrival matching rule j) =
-            // (1 − e^{-G})·γ_j/G, G = Σ_j γ_j.
-            let gammas: Vec<(RuleId, f64)> = rules
-                .ids()
-                .filter_map(|j| {
-                    let g = rates.sum_over(&relevant_flow_ids(rules, &cached, j));
-                    (g > 0.0).then_some((j, g))
-                })
-                .collect();
-            let g_total: f64 = gammas.iter().map(|(_, g)| g).sum();
-            let p_any = if g_total > 0.0 {
-                1.0 - (-g_total).exp()
-            } else {
-                0.0
-            };
-            for &(j, g) in &gammas {
-                let w = p_any * g / g_total;
-                if cached.contains(&j) {
-                    row.push((mask, w, Cause::Arrival(j)));
-                } else if cached.len() < capacity {
-                    row.push((mask | (1 << j.0), w, Cause::Arrival(j)));
-                } else {
-                    for (pos, &victim) in cached.iter().enumerate() {
-                        let pe = analysis.evict[pos];
-                        if pe > 0.0 {
-                            let to = (mask & !(1 << victim.0)) | (1 << j.0);
-                            row.push((to, w * pe, Cause::Arrival(j)));
-                        }
-                    }
-                }
-            }
-
-            // Timeout events: a rule's timer advances on every step (as in
-            // the basic model), so the §IV-B2 per-step hazard applies per
-            // step, normalized to at most one expiry per transition
-            // (Fig. 5 shows one rule leaving per transition). Expiry does
-            // not displace arrival probability; the quiet event absorbs
-            // whatever remains.
-            let mut q_expire: Vec<f64> = Vec::with_capacity(cached.len());
-            for pos in 0..cached.len() {
-                let mut w = analysis.timeout[pos];
-                for (pos2, &p2) in analysis.timeout.iter().enumerate() {
-                    if pos2 != pos {
-                        w *= 1.0 - p2;
-                    }
-                }
-                q_expire.push(w);
-            }
-            let mut q_total: f64 = q_expire.iter().sum();
-            let budget = 1.0 - p_any;
-            if q_total > budget && q_total > 0.0 {
-                // Hazards larger than the non-arrival share: rescale so the
-                // row stays a distribution (rare; very short timeouts).
-                for q in &mut q_expire {
-                    *q *= budget / q_total;
-                }
-                q_total = budget;
-            }
-            for (pos, &j) in cached.iter().enumerate() {
-                if q_expire[pos] > 0.0 {
-                    row.push((mask & !(1 << j.0), q_expire[pos], Cause::Timeout(j)));
-                }
-            }
-            // Quiet event: no arrival, no expiry.
-            row.push((mask, budget - q_total, Cause::Quiet));
-
-            let total: f64 = row.iter().map(|(_, w, _)| w).sum();
-            let out: Vec<Edge> = row
-                .into_iter()
-                .map(|(to_mask, w, cause)| Edge {
-                    to: state_index(&states, to_mask),
-                    prob: w / total,
-                    cause,
-                })
-                .collect();
-            analyses.push(analysis);
-            edges.push(out);
-        }
-
-        let mut matrix = MatrixBuilder::new(states.len());
-        for (from, row) in edges.iter().enumerate() {
-            for e in row {
-                matrix.add_edge(from, e.to, e.prob);
-            }
-        }
-        let matrix = matrix.freeze();
         let cover_masks = (0..rules.universe_size() as u32)
             .map(|f| {
                 rules
@@ -247,17 +191,151 @@ impl CompactModel {
                     .fold(0u32, |m, j| m | (1 << j.0))
             })
             .collect();
-        Ok(CompactModel {
+        let covered = rules
+            .ids()
+            .map(|j| rules.rule(j).covers().iter().collect())
+            .collect();
+        let mut model = CompactModel {
             rules: rules.clone(),
             rates: rates.clone(),
             capacity,
             policy,
             states,
             analyses,
-            edges,
-            matrix,
+            // Filled in below: the rows are derived from the fields above.
+            matrix: MatrixBuilder::new(0).freeze(),
             cover_masks,
-        })
+            covered,
+        };
+        model.matrix = model.transition_matrix(None);
+        Ok(model)
+    }
+
+    /// The transition matrix, or with `target` the §V-A matrix `Â`, one
+    /// [`CompactModel::state_row`] per state in state order.
+    fn transition_matrix(&self, target: Option<FlowId>) -> CsrMatrix {
+        let mut m = MatrixBuilder::new(self.states.len());
+        for from in 0..self.states.len() {
+            for (to, p) in self.state_row(from, target) {
+                m.add_edge(from, to, p);
+            }
+        }
+        m.freeze()
+    }
+
+    /// The outgoing edges `(to, probability)` of `state`, in the order the
+    /// matrix adds them.
+    ///
+    /// With `Some(target)`, each arrival edge of a rule whose relevant
+    /// flows include `target` keeps only the share of the rule's effective
+    /// rate `γ` that is not `target`'s: it is multiplied by
+    /// `((γ − λ_target)/γ).max(0)`. Quiet and timeout edges are unchanged.
+    fn state_row(&self, state: usize, target: Option<FlowId>) -> Vec<(usize, f64)> {
+        let mask = self.states[state];
+        let cached = mask_rules(mask);
+        let analysis = &self.analyses[state];
+        // `target`'s covering rules and rate.
+        let target = target.map(|t| (self.cover_masks[t.0 as usize], self.rates.rate(t)));
+        // (`to` mask, weight, factor for a `target` arrival) per edge.
+        let mut row: Vec<(u32, f64, Option<f64>)> = Vec::new();
+
+        // Arrival events with the wall-clock-faithful normalization
+        // (see the `basic` module docs): P(arrival matching rule j) =
+        // (1 − e^{-G})·γ_j/G, G = Σ_j γ_j. A flow of j is relevant (§IV-A1)
+        // unless a blocker covers it: a higher-priority cached rule when j
+        // is cached, otherwise any cached or higher-priority rule. The
+        // relevant rates are added in ascending flow order, as
+        // `relevant_flow_ids` lists them.
+        let gammas: Vec<(RuleId, f64, Option<f64>)> = self
+            .rules
+            .ids()
+            .filter_map(|j| {
+                let bit = 1u32 << j.0;
+                let higher = bit - 1;
+                let blockers = if mask & bit != 0 {
+                    mask & higher
+                } else {
+                    mask | higher
+                };
+                let g: f64 = self.covered[j.0]
+                    .iter()
+                    .filter(|f| self.cover_masks[f.0 as usize] & blockers == 0)
+                    .map(|&f| self.rates.rate(f))
+                    .sum();
+                (g > 0.0).then(|| {
+                    let keep = target.and_then(|(cover, rate)| {
+                        (cover & bit != 0 && cover & blockers == 0)
+                            .then(|| ((g - rate) / g).max(0.0))
+                    });
+                    (j, g, keep)
+                })
+            })
+            .collect();
+        let g_total: f64 = gammas.iter().map(|(_, g, _)| g).sum();
+        let p_any = if g_total > 0.0 {
+            1.0 - (-g_total).exp()
+        } else {
+            0.0
+        };
+        for &(j, g, keep) in &gammas {
+            let w = p_any * g / g_total;
+            if cached.contains(&j) {
+                row.push((mask, w, keep));
+            } else if cached.len() < self.capacity {
+                row.push((mask | (1 << j.0), w, keep));
+            } else {
+                for (pos, &victim) in cached.iter().enumerate() {
+                    let pe = analysis.evict[pos];
+                    if pe > 0.0 {
+                        let to = (mask & !(1 << victim.0)) | (1 << j.0);
+                        row.push((to, w * pe, keep));
+                    }
+                }
+            }
+        }
+
+        // Timeout events: a rule's timer advances on every step (as in
+        // the basic model), so the §IV-B2 per-step hazard applies per
+        // step, normalized to at most one expiry per transition
+        // (Fig. 5 shows one rule leaving per transition). Expiry does
+        // not displace arrival probability; the quiet event absorbs
+        // whatever remains.
+        let mut q_expire: Vec<f64> = Vec::with_capacity(cached.len());
+        for pos in 0..cached.len() {
+            let mut w = analysis.timeout[pos];
+            for (pos2, &p2) in analysis.timeout.iter().enumerate() {
+                if pos2 != pos {
+                    w *= 1.0 - p2;
+                }
+            }
+            q_expire.push(w);
+        }
+        let mut q_total: f64 = q_expire.iter().sum();
+        let budget = 1.0 - p_any;
+        if q_total > budget && q_total > 0.0 {
+            // Hazards larger than the non-arrival share: rescale so the
+            // row stays a distribution (rare; very short timeouts).
+            for q in &mut q_expire {
+                *q *= budget / q_total;
+            }
+            q_total = budget;
+        }
+        for (pos, &j) in cached.iter().enumerate() {
+            if q_expire[pos] > 0.0 {
+                row.push((mask & !(1 << j.0), q_expire[pos], None));
+            }
+        }
+        // Quiet event: no arrival, no expiry.
+        row.push((mask, budget - q_total, None));
+
+        let total: f64 = row.iter().map(|(_, w, _)| w).sum();
+        row.into_iter()
+            .map(|(to_mask, w, keep)| {
+                let prob = w / total;
+                let p = keep.map_or(prob, |k| prob * k);
+                (state_index(&self.states, to_mask), p)
+            })
+            .collect()
     }
 
     /// Number of states (`Σ_{n'=0}^{n} C(|Rules|, n')`).
@@ -349,30 +427,7 @@ impl SwitchModel for CompactModel {
     }
 
     fn absent_matrix(&self, target: FlowId) -> CsrMatrix {
-        let mut m = MatrixBuilder::new(self.states.len());
-        for (from, row) in self.edges.iter().enumerate() {
-            let cached = mask_rules(self.states[from]);
-            for e in row {
-                let p = match e.cause {
-                    Cause::Quiet | Cause::Timeout(_) => e.prob,
-                    Cause::Arrival(j) => {
-                        let relevant = relevant_flow_ids(&self.rules, &cached, j);
-                        if relevant.contains(target) {
-                            let gamma = self.rates.sum_over(&relevant);
-                            if gamma > 0.0 {
-                                e.prob * ((gamma - self.rates.rate(target)) / gamma).max(0.0)
-                            } else {
-                                0.0
-                            }
-                        } else {
-                            e.prob
-                        }
-                    }
-                };
-                m.add_edge(from, e.to, p);
-            }
-        }
-        m.freeze()
+        self.transition_matrix(Some(target))
     }
 
     fn covers_in_state(&self, state: usize, f: FlowId) -> bool {
@@ -413,11 +468,200 @@ impl SwitchModel for CompactModel {
     }
 }
 
+/// The build loop and the edge-based `absent_matrix` as they were before
+/// rows were derived by `state_row` and effective rates by bitmask: the
+/// oracle for the bit-exactness tests below.
+#[cfg(test)]
+mod reference {
+    use super::{mask_rules, state_index};
+    use crate::useq::{CacheAnalysis, Evaluator, PairTable};
+    use crate::{CsrMatrix, MatrixBuilder};
+    use flowspace::relevant::{relevant_flow_ids, FlowRates};
+    use flowspace::{FlowId, RuleId, RuleSet};
+    use ftcache::PolicyKind;
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Cause {
+        Quiet,
+        Timeout(RuleId),
+        Arrival(RuleId),
+    }
+
+    #[derive(Debug, Clone)]
+    struct Edge {
+        to: usize,
+        prob: f64,
+        cause: Cause,
+    }
+
+    pub(super) struct Model {
+        rules: RuleSet,
+        rates: FlowRates,
+        states: Vec<u32>,
+        pub(super) analyses: Vec<CacheAnalysis>,
+        edges: Vec<Vec<Edge>>,
+        pub(super) matrix: CsrMatrix,
+    }
+
+    impl Model {
+        pub(super) fn build(
+            rules: &RuleSet,
+            rates: &FlowRates,
+            capacity: usize,
+            evaluator: Evaluator,
+            policy: PolicyKind,
+        ) -> Model {
+            let r = rules.len();
+            let mut states = Vec::new();
+            for mask in 0u32..(1u32 << r) {
+                if (mask.count_ones() as usize) <= capacity {
+                    states.push(mask);
+                }
+            }
+
+            // One table for all states: the state-invariant upward vectors of
+            // the mean-field kernel are computed once per build.
+            let pairs = PairTable::new(r);
+            let mut analyses = Vec::with_capacity(states.len());
+            let mut edges: Vec<Vec<Edge>> = Vec::with_capacity(states.len());
+            for &mask in &states {
+                let cached = mask_rules(mask);
+                let at_capacity = cached.len() == capacity;
+                let analysis =
+                    evaluator.analyze_shared(rules, rates, &cached, at_capacity, policy, &pairs);
+                let mut row: Vec<(u32, f64, Cause)> = Vec::new();
+
+                // Arrival events with the wall-clock-faithful normalization
+                // (see the `basic` module docs): P(arrival matching rule j) =
+                // (1 − e^{-G})·γ_j/G, G = Σ_j γ_j.
+                let gammas: Vec<(RuleId, f64)> = rules
+                    .ids()
+                    .filter_map(|j| {
+                        let g = rates.sum_over(&relevant_flow_ids(rules, &cached, j));
+                        (g > 0.0).then_some((j, g))
+                    })
+                    .collect();
+                let g_total: f64 = gammas.iter().map(|(_, g)| g).sum();
+                let p_any = if g_total > 0.0 {
+                    1.0 - (-g_total).exp()
+                } else {
+                    0.0
+                };
+                for &(j, g) in &gammas {
+                    let w = p_any * g / g_total;
+                    if cached.contains(&j) {
+                        row.push((mask, w, Cause::Arrival(j)));
+                    } else if cached.len() < capacity {
+                        row.push((mask | (1 << j.0), w, Cause::Arrival(j)));
+                    } else {
+                        for (pos, &victim) in cached.iter().enumerate() {
+                            let pe = analysis.evict[pos];
+                            if pe > 0.0 {
+                                let to = (mask & !(1 << victim.0)) | (1 << j.0);
+                                row.push((to, w * pe, Cause::Arrival(j)));
+                            }
+                        }
+                    }
+                }
+
+                // Timeout events: a rule's timer advances on every step (as in
+                // the basic model), so the §IV-B2 per-step hazard applies per
+                // step, normalized to at most one expiry per transition
+                // (Fig. 5 shows one rule leaving per transition). Expiry does
+                // not displace arrival probability; the quiet event absorbs
+                // whatever remains.
+                let mut q_expire: Vec<f64> = Vec::with_capacity(cached.len());
+                for pos in 0..cached.len() {
+                    let mut w = analysis.timeout[pos];
+                    for (pos2, &p2) in analysis.timeout.iter().enumerate() {
+                        if pos2 != pos {
+                            w *= 1.0 - p2;
+                        }
+                    }
+                    q_expire.push(w);
+                }
+                let mut q_total: f64 = q_expire.iter().sum();
+                let budget = 1.0 - p_any;
+                if q_total > budget && q_total > 0.0 {
+                    // Hazards larger than the non-arrival share: rescale so the
+                    // row stays a distribution (rare; very short timeouts).
+                    for q in &mut q_expire {
+                        *q *= budget / q_total;
+                    }
+                    q_total = budget;
+                }
+                for (pos, &j) in cached.iter().enumerate() {
+                    if q_expire[pos] > 0.0 {
+                        row.push((mask & !(1 << j.0), q_expire[pos], Cause::Timeout(j)));
+                    }
+                }
+                // Quiet event: no arrival, no expiry.
+                row.push((mask, budget - q_total, Cause::Quiet));
+
+                let total: f64 = row.iter().map(|(_, w, _)| w).sum();
+                let out: Vec<Edge> = row
+                    .into_iter()
+                    .map(|(to_mask, w, cause)| Edge {
+                        to: state_index(&states, to_mask),
+                        prob: w / total,
+                        cause,
+                    })
+                    .collect();
+                analyses.push(analysis);
+                edges.push(out);
+            }
+
+            let mut matrix = MatrixBuilder::new(states.len());
+            for (from, row) in edges.iter().enumerate() {
+                for e in row {
+                    matrix.add_edge(from, e.to, e.prob);
+                }
+            }
+            let matrix = matrix.freeze();
+            Model {
+                rules: rules.clone(),
+                rates: rates.clone(),
+                states,
+                analyses,
+                edges,
+                matrix,
+            }
+        }
+
+        pub(super) fn absent_matrix(&self, target: FlowId) -> CsrMatrix {
+            let mut m = MatrixBuilder::new(self.states.len());
+            for (from, row) in self.edges.iter().enumerate() {
+                let cached = mask_rules(self.states[from]);
+                for e in row {
+                    let p = match e.cause {
+                        Cause::Quiet | Cause::Timeout(_) => e.prob,
+                        Cause::Arrival(j) => {
+                            let relevant = relevant_flow_ids(&self.rules, &cached, j);
+                            if relevant.contains(target) {
+                                let gamma = self.rates.sum_over(&relevant);
+                                if gamma > 0.0 {
+                                    e.prob * ((gamma - self.rates.rate(target)) / gamma).max(0.0)
+                                } else {
+                                    0.0
+                                }
+                            } else {
+                                e.prob
+                            }
+                        }
+                    };
+                    m.add_edge(from, e.to, p);
+                }
+            }
+            m.freeze()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counts::compact_state_count;
     use flowspace::{FlowSet, Rule, Timeout};
+    use proptest::prelude::*;
 
     fn small() -> (RuleSet, FlowRates) {
         // rule0 covers {1} (pri 30, t=3); rule1 covers {1,2} (pri 20, t=5);
@@ -710,6 +954,136 @@ mod tests {
             let pe = ex.prob_rule_cached(&de, j);
             let pm = mf.prob_rule_cached(&dm, j);
             assert!((pe - pm).abs() < 0.05, "{j}: exact {pe} vs mean-field {pm}");
+        }
+    }
+    /// Strategy: 2–6 rules over 6 flows with overlapping covers and
+    /// timeouts up to 8 steps; rule `i` outranks rule `i + 1`.
+    fn rule_set_strategy() -> impl Strategy<Value = RuleSet> {
+        let rule = (1u32..=8, proptest::collection::btree_set(0u32..6, 1..=3));
+        proptest::collection::vec(rule, 2..=6).prop_map(|specs| {
+            let rules = specs
+                .into_iter()
+                .zip((0..100u32).rev())
+                .map(|((t, flows), prio)| {
+                    Rule::from_flow_set(
+                        FlowSet::from_flows(6, flows.into_iter().map(FlowId)),
+                        prio,
+                        Timeout::idle(t),
+                    )
+                })
+                .collect();
+            RuleSet::new(rules, 6).expect("distinct priorities")
+        })
+    }
+
+    /// Strategy: per-step rates with silent and near-silent flows, so the
+    /// `γ = 0` branches and the `target`-only arrival edges run too.
+    fn rates_strategy() -> impl Strategy<Value = FlowRates> {
+        proptest::collection::vec(0.0f64..0.4, 6).prop_map(|v| {
+            let rate = |r: f64| match r {
+                r if r < 0.04 => 0.0,
+                r if r < 0.08 => r * 1e-3,
+                r => r,
+            };
+            FlowRates::from_per_step(v.into_iter().map(rate).collect())
+        })
+    }
+
+    type Rows = Vec<Vec<(usize, u64)>>;
+
+    fn row_bits(m: &CsrMatrix) -> Rows {
+        (0..m.n_states())
+            .map(|i| m.row(i).map(|(j, p)| (j, p.to_bits())).collect())
+            .collect()
+    }
+
+    type Bits = (Vec<RuleId>, Vec<u64>, Vec<u64>);
+
+    fn analysis_bits(a: &CacheAnalysis) -> Bits {
+        let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+        (a.cached.clone(), to_bits(&a.timeout), to_bits(&a.evict))
+    }
+
+    /// Everything observable about a model, as bits: its states, every
+    /// analysis, and every row of `matrix()` and of each flow's
+    /// `absent_matrix`.
+    fn model_bits(m: &CompactModel) -> (Vec<u32>, Vec<Bits>, Rows, Vec<Rows>) {
+        let flows = m.rules().universe_size() as u32;
+        (
+            m.states.clone(),
+            m.analyses.iter().map(analysis_bits).collect(),
+            row_bits(m.matrix()),
+            (0..flows)
+                .map(|f| row_bits(&m.absent_matrix(FlowId(f))))
+                .collect(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `state_row` with bitmask effective rates reproduces the stored
+        /// edge rows of the pre-`state_row` build bit for bit, with and
+        /// without a target flow, and the parallel build is the serial one
+        /// at any thread count.
+        #[test]
+        fn rows_and_analyses_are_bit_identical_to_the_edge_build(
+            rules in rule_set_strategy(),
+            rates in rates_strategy(),
+            capacity in 1usize..=4,
+        ) {
+            let mut evaluators = vec![Evaluator::mean_field()];
+            if capacity <= 2 {
+                evaluators.push(Evaluator::exact());
+            }
+            for policy in PolicyKind::all() {
+                for ev in &evaluators {
+                    let want =
+                        reference::Model::build(&rules, &rates, capacity, ev.clone(), policy);
+                    let got = CompactModel::build_exec(
+                        &rules,
+                        &rates,
+                        capacity,
+                        ev.clone(),
+                        policy,
+                        ExecPolicy::Serial,
+                    )
+                    .unwrap();
+                    let case = format!("{ev:?} under {policy}");
+                    prop_assert_eq!(row_bits(got.matrix()), row_bits(&want.matrix), "{}", case);
+                    for s in 0..got.n_states() {
+                        prop_assert_eq!(
+                            analysis_bits(got.analysis(s)),
+                            analysis_bits(&want.analyses[s]),
+                            "{} state {}", case, s
+                        );
+                    }
+                    for f in 0..rules.universe_size() as u32 {
+                        prop_assert_eq!(
+                            row_bits(&got.absent_matrix(FlowId(f))),
+                            row_bits(&want.absent_matrix(FlowId(f))),
+                            "{} target {}", case, f
+                        );
+                    }
+                    let serial = model_bits(&got);
+                    for threads in [2, 8] {
+                        let parallel = CompactModel::build_exec(
+                            &rules,
+                            &rates,
+                            capacity,
+                            ev.clone(),
+                            policy,
+                            ExecPolicy::Parallel { threads },
+                        )
+                        .unwrap();
+                        prop_assert_eq!(
+                            &model_bits(&parallel),
+                            &serial,
+                            "{} on {} threads", case, threads
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -1,22 +1,25 @@
 //! Execution policy, run statistics, and the deterministic fan-out helper
-//! shared by the trial engine and the probe-evaluation engine.
+//! shared by the trial engine, the probe-evaluation engine and the
+//! compact-model build.
 //!
 //! Monte-Carlo evaluation (§VI) runs hundreds of independent trials per
-//! configuration, and probe selection (§V) scores dozens of independent
-//! candidate probes. In both cases each work item is a pure function of
+//! configuration, probe selection (§V) scores dozens of independent
+//! candidate probes, and a compact model (§IV-B) analyses thousands of
+//! independent states. In each case a work item is a pure function of
 //! its index — trial RNG streams derive purely from
-//! `(seed, trial index, attacker index)`, and a candidate probe's
-//! information gain depends only on the cached evolved distributions — so
-//! the batch can be distributed across worker threads with
-//! **bit-identical** results to a serial run. [`ExecPolicy`] selects how
-//! that work is scheduled; [`map_indexed`] performs the index-ordered
-//! fan-out/reduction; [`RunStats`] reports what it cost.
+//! `(seed, trial index, attacker index)`, a candidate probe's
+//! information gain depends only on the cached evolved distributions, and
+//! a state's analysis only on the state, the rules and the rates — so
+//! the batch can be distributed across threads with **bit-identical**
+//! results to a serial run. [`ExecPolicy`] selects how that work is
+//! scheduled; [`map_indexed`] performs the index-ordered
+//! fan-out/reduction, running items on the calling thread as well as on
+//! the workers it spawns; [`RunStats`] reports what it cost.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 // detlint::allow(D2): RunStats reports wall-clock throughput to the user;
 // the measured time never feeds back into any result.
 use std::time::Instant;
@@ -35,9 +38,10 @@ pub const THREADS_ENV_VAR: &str = "FLOW_RECON_THREADS";
 pub enum ExecPolicy {
     /// Run every item on the calling thread, in index order.
     Serial,
-    /// Distribute items across `threads` scoped worker threads.
+    /// Distribute items across `threads` threads ([`map_indexed`] counts
+    /// the calling thread as one of them).
     Parallel {
-        /// Worker thread count (values ≤ 1 behave like `Serial`).
+        /// Thread count (values ≤ 1 behave like `Serial`).
         threads: usize,
     },
 }
@@ -123,45 +127,59 @@ impl fmt::Display for ExecPolicy {
 /// Evaluates `f(0), f(1), …, f(n - 1)` under `policy` and returns the
 /// results in index order.
 ///
-/// Each invocation of `f` must be a pure function of its index — workers
-/// pull indices from a shared cursor, so the *schedule* is
+/// Each invocation of `f` must be a pure function of its index — the
+/// threads pull indices from a shared cursor, so the *schedule* is
 /// non-deterministic while the returned `Vec` is always identical to the
 /// serial `(0..n).map(f).collect()`. Any order-sensitive reduction
 /// (tie-breaking argmax folds, first-error-wins scans) therefore stays
 /// with the caller, running serially over this index-ordered output —
 /// that is what keeps parallel runs bit-identical to serial ones.
+///
+/// The calling thread runs items too: a policy of `threads` spawns only
+/// `threads − 1` scoped workers, and none at all when
+/// [`ExecPolicy::effective_threads`] is 1. Each thread keeps its results
+/// in a private list, so there is no shared slot vector and no lock. A
+/// panic in any item, on the caller or on a worker, propagates with its
+/// own payload once every thread has stopped.
 pub fn map_indexed<T, F>(policy: ExecPolicy, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = policy.effective_threads(n);
-    if workers <= 1 {
+    let threads = policy.effective_threads(n);
+    if threads <= 1 {
         return (0..n).map(f).collect();
     }
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
     let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let value = f(i);
-                // A poisoned lock only means another worker panicked
-                // mid-store; that panic propagates when the scope joins,
-                // so writing through the poison is sound — and keeps
-                // this hot path free of panic branches.
-                slots
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)[i] = Some(value);
-            });
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, f(i)));
         }
+    };
+    let parts: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..threads).map(|_| scope.spawn(drain)).collect();
+        let mut parts = vec![drain()];
+        for worker in workers {
+            // Re-raise a worker's own payload; the scope still waits for
+            // the other workers before the unwind leaves it.
+            parts.push(
+                worker
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        parts
     });
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    for (i, value) in parts.into_iter().flatten() {
+        slots[i] = Some(value);
+    }
     slots
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
         .into_iter()
         .map(|slot| slot.expect("every index filled"))
         .collect()
@@ -270,23 +288,64 @@ mod tests {
 
     #[test]
     fn map_indexed_matches_serial_at_any_thread_count() {
-        let expected: Vec<u64> = (0..100).map(|i| (i as u64).wrapping_mul(0x9E37)).collect();
-        for policy in [
-            ExecPolicy::Serial,
-            ExecPolicy::Parallel { threads: 2 },
-            ExecPolicy::Parallel { threads: 8 },
-        ] {
-            let got = map_indexed(policy, 100, |i| (i as u64).wrapping_mul(0x9E37));
-            assert_eq!(got, expected, "policy {policy}");
+        for n in [0, 1, 2, 17, 100] {
+            let expected: Vec<u64> = (0..n).map(|i| (i as u64).wrapping_mul(0x9E37)).collect();
+            for threads in [1, 2, 8] {
+                let policy = ExecPolicy::with_threads(threads);
+                let got = map_indexed(policy, n, |i| (i as u64).wrapping_mul(0x9E37));
+                assert_eq!(got, expected, "n {n} under {policy}");
+            }
         }
     }
 
     #[test]
-    fn map_indexed_handles_empty_and_excess_threads() {
-        let empty: Vec<usize> = map_indexed(ExecPolicy::Parallel { threads: 8 }, 0, |i| i);
-        assert!(empty.is_empty());
-        let few = map_indexed(ExecPolicy::Parallel { threads: 8 }, 2, |i| i * 3);
-        assert_eq!(few, vec![0, 3]);
+    fn map_indexed_spawns_nothing_for_one_effective_thread() {
+        let caller = std::thread::current().id();
+        for (policy, n) in [
+            (ExecPolicy::Serial, 17),
+            (ExecPolicy::Parallel { threads: 1 }, 17),
+            (ExecPolicy::Parallel { threads: 8 }, 1),
+        ] {
+            assert_eq!(policy.effective_threads(n), 1);
+            let ran_on = map_indexed(policy, n, |_| std::thread::current().id());
+            assert!(ran_on.iter().all(|&id| id == caller), "{policy} n {n}");
+        }
+    }
+
+    /// Runs 17 items on two threads and panics in whichever of items 0
+    /// and 1 runs on the caller (`on_caller`) or on the worker. The two
+    /// items meet at a barrier, so each thread runs one of them. Returns
+    /// the payload `map_indexed` propagated.
+    fn propagated_payload(on_caller: bool) -> String {
+        let caller = std::thread::current().id();
+        let meet = std::sync::Barrier::new(2);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            map_indexed(ExecPolicy::Parallel { threads: 2 }, 17, |i| {
+                if i < 2 {
+                    meet.wait();
+                    if (std::thread::current().id() == caller) == on_caller {
+                        panic!("item {i} failed");
+                    }
+                }
+                i
+            })
+        }));
+        let payload = outcome.expect_err("the item's panic propagates");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("the item's own payload")
+    }
+
+    #[test]
+    fn map_indexed_propagates_a_panic_from_the_caller_or_a_worker() {
+        for on_caller in [true, false] {
+            let payload = propagated_payload(on_caller);
+            assert!(
+                payload == "item 0 failed" || payload == "item 1 failed",
+                "on_caller {on_caller}: {payload}"
+            );
+        }
     }
 
     #[test]

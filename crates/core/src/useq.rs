@@ -56,7 +56,7 @@
 //!   cached rule is state-invariant.** The mean-field discount of `lo`'s
 //!   other shadowing rules is then empty, so `Z_lo(·)` depends only on the
 //!   two rules and the rates. One model build computes it once and shares
-//!   it across states and iterations (`PairTable`).
+//!   it across states, iterations and threads (`PairTable`).
 //!
 //! Both are bit-exact, not approximately equal: each value is computed from
 //! the same operands by the same float operations, and every sum adds its
@@ -69,6 +69,7 @@ use flowspace::{RuleId, RuleSet};
 use ftcache::PolicyKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 /// Eviction and timeout estimates for one compact state.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,14 +197,21 @@ impl Evaluator {
         at_capacity: bool,
         policy: PolicyKind,
     ) -> CacheAnalysis {
-        let mut pairs = PairTable::new(rules.len());
-        self.analyze_shared(rules, rates, cached, at_capacity, policy, &mut pairs)
+        self.analyze_shared(
+            rules,
+            rates,
+            cached,
+            at_capacity,
+            policy,
+            &PairTable::new(rules.len()),
+        )
     }
 
     /// [`Evaluator::analyze_policy`] with the state-invariant pair vectors
     /// kept in `pairs`, so the states of one model build compute each only
     /// once. Every call sharing a table must pass the same `rules` and
-    /// `rates`; the result is bit-identical to a fresh table's.
+    /// `rates`; the result is bit-identical to a fresh table's, whichever
+    /// call (or thread) filled an entry first.
     pub(crate) fn analyze_shared(
         &self,
         rules: &RuleSet,
@@ -211,7 +219,7 @@ impl Evaluator {
         cached: &[RuleId],
         at_capacity: bool,
         policy: PolicyKind,
-        pairs: &mut PairTable,
+        pairs: &PairTable,
     ) -> CacheAnalysis {
         let mut sorted = cached.to_vec();
         sorted.sort();
@@ -263,9 +271,14 @@ impl Evaluator {
 /// module docs), keyed by rule ids: entry `(hi, lo)` holds
 /// `max(Z_lo(u), 1e-300)` for `u = 1..=t_hi`, valid for every state in
 /// which `hi` is `lo`'s only higher-priority overlapping cached rule.
+///
+/// The table is `Sync`, so the parallel states of one build share it. An
+/// entry is a pure function of the pair and the rates, so whichever thread
+/// fills it first stores the same bits any other would have: the schedule
+/// decides only who computes a vector, never its value.
 pub(crate) struct PairTable {
     n_rules: usize,
-    z: Vec<Option<Vec<f64>>>,
+    z: Vec<OnceLock<Vec<f64>>>,
 }
 
 impl PairTable {
@@ -273,17 +286,17 @@ impl PairTable {
     pub(crate) fn new(n_rules: usize) -> Self {
         PairTable {
             n_rules,
-            z: vec![None; n_rules * n_rules],
+            z: (0..n_rules * n_rules).map(|_| OnceLock::new()).collect(),
         }
     }
 
     fn get_or_insert_with(
-        &mut self,
+        &self,
         hi: RuleId,
         lo: RuleId,
         compute: impl FnOnce() -> Vec<f64>,
     ) -> &[f64] {
-        self.z[hi.0 * self.n_rules + lo.0].get_or_insert_with(compute)
+        self.z[hi.0 * self.n_rules + lo.0].get_or_init(compute)
     }
 }
 
@@ -714,7 +727,7 @@ fn mean_field_marginals(
     ctx: &Ctx,
     iterations: usize,
     opts: MeanFieldOpts,
-    pairs: &mut PairTable,
+    pairs: &PairTable,
 ) -> Vec<Vec<f64>> {
     let n = ctx.n();
     let t_max = ctx.t.iter().copied().max().unwrap_or(0) as usize;

@@ -184,7 +184,7 @@ fn interrupted_run_flushes_partial_outputs_and_marked_manifest() {
 
 /// A worker panic *inside* `map_indexed`'s parallel fan-out unwinds
 /// through the scoped-thread join, gets caught by the supervisor, and —
-/// because `map_indexed` writes results through lock poison — the retry
+/// because `map_indexed` keeps no state shared between calls — the retry
 /// and every later unit still complete with clean-run results.
 #[test]
 fn panic_inside_parallel_fanout_is_retried_without_leaking_poison() {
