@@ -41,7 +41,8 @@
 //!
 //! Rows are not stored: one function, `state_row`, derives a state's row
 //! from its analysis, both for the transition matrix and, with a target
-//! flow, for the substochastic [`SwitchModel::absent_matrix`]. Effective
+//! flow, for the substochastic [`SwitchModel::absent_matrix`], and the rows
+//! go straight into the CSR arrays without a per-row allocation. Effective
 //! rates come from per-flow cover bitmasks, so a row needs no `FlowSet`
 //! arithmetic; the sums still add the same rates in the same order as
 //! [`relevant_flow_ids`](flowspace::relevant::relevant_flow_ids).
@@ -49,7 +50,7 @@
 use crate::counts::compact_state_count;
 use crate::exec::{map_indexed, ExecPolicy};
 use crate::useq::{CacheAnalysis, Evaluator, PairTable};
-use crate::{CsrMatrix, Distribution, MatrixBuilder, ModelError, SwitchModel};
+use crate::{CsrMatrix, Distribution, ModelError, SwitchModel};
 use flowspace::relevant::FlowRates;
 use flowspace::{FlowId, RuleId, RuleSet};
 use ftcache::PolicyKind;
@@ -84,10 +85,22 @@ pub struct CompactModel {
     covered: Vec<Vec<FlowId>>,
 }
 
+/// One raw row entry of [`CompactModel::state_row`]: the destination
+/// mask, the unnormalized weight, and the factor for a `target` arrival.
+type RawEdge = (u32, f64, Option<f64>);
+
+/// The set bits of `mask` as single-bit masks, ascending.
+fn mask_bits(mut mask: u32) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        let low = mask & mask.wrapping_neg();
+        mask &= !low;
+        (low != 0).then_some(low)
+    })
+}
+
 fn mask_rules(mask: u32) -> Vec<RuleId> {
-    (0..32)
-        .filter(|b| mask & (1 << b) != 0)
-        .map(|b| RuleId(b as usize))
+    mask_bits(mask)
+        .map(|bit| RuleId(bit.trailing_zeros() as usize))
         .collect()
 }
 
@@ -203,7 +216,7 @@ impl CompactModel {
             states,
             analyses,
             // Filled in below: the rows are derived from the fields above.
-            matrix: MatrixBuilder::new(0).freeze(),
+            matrix: CsrMatrix::from_csr(0, vec![0], Vec::new(), Vec::new()),
             cover_masks,
             covered,
         };
@@ -212,32 +225,61 @@ impl CompactModel {
     }
 
     /// The transition matrix, or with `target` the §V-A matrix `Â`, one
-    /// [`CompactModel::state_row`] per state in state order.
+    /// [`CompactModel::state_row`] per state in state order, written
+    /// straight into CSR arrays.
+    ///
+    /// Each row is normalized by the total of its raw entries, summed in
+    /// row order before any merging. Zero entries are dropped, and a
+    /// repeated destination accumulates into its first slot, as
+    /// [`MatrixBuilder::add_edge`](crate::MatrixBuilder::add_edge) does.
     fn transition_matrix(&self, target: Option<FlowId>) -> CsrMatrix {
-        let mut m = MatrixBuilder::new(self.states.len());
-        for from in 0..self.states.len() {
-            for (to, p) in self.state_row(from, target) {
-                m.add_edge(from, to, p);
+        let n = self.states.len();
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        // `Â` has at most the edges of the built matrix.
+        let mut col_idx = Vec::with_capacity(self.matrix.n_edges());
+        let mut values = Vec::with_capacity(self.matrix.n_edges());
+        let mut raw = Vec::new();
+        for from in 0..n {
+            self.state_row(from, target, &mut raw);
+            let total: f64 = raw.iter().map(|(_, w, _)| w).sum();
+            let start = col_idx.len();
+            for &(to_mask, w, keep) in &raw {
+                let prob = w / total;
+                let p = keep.map_or(prob, |k| prob * k);
+                assert!(p >= 0.0 && p.is_finite(), "edge probability invalid: {p}");
+                if p == 0.0 {
+                    continue;
+                }
+                let to = state_index(&self.states, to_mask);
+                match col_idx[start..].iter().position(|&c| c == to) {
+                    Some(k) => values[start + k] += p,
+                    None => {
+                        col_idx.push(to);
+                        values.push(p);
+                    }
+                }
             }
+            row_ptr.push(col_idx.len());
         }
-        m.freeze()
+        CsrMatrix::from_csr(n, row_ptr, col_idx, values)
     }
 
-    /// The outgoing edges `(to, probability)` of `state`, in the order the
-    /// matrix adds them.
+    /// Fills `row` with the raw outgoing entries of `state`, in the order
+    /// the matrix adds them: the destination mask, the unnormalized
+    /// weight, and the factor applied to it for a `target` arrival.
     ///
     /// With `Some(target)`, each arrival edge of a rule whose relevant
     /// flows include `target` keeps only the share of the rule's effective
     /// rate `γ` that is not `target`'s: it is multiplied by
     /// `((γ − λ_target)/γ).max(0)`. Quiet and timeout edges are unchanged.
-    fn state_row(&self, state: usize, target: Option<FlowId>) -> Vec<(usize, f64)> {
+    fn state_row(&self, state: usize, target: Option<FlowId>, row: &mut Vec<RawEdge>) {
+        row.clear();
         let mask = self.states[state];
-        let cached = mask_rules(mask);
+        let n_cached = mask.count_ones() as usize;
         let analysis = &self.analyses[state];
         // `target`'s covering rules and rate.
         let target = target.map(|t| (self.cover_masks[t.0 as usize], self.rates.rate(t)));
-        // (`to` mask, weight, factor for a `target` arrival) per edge.
-        let mut row: Vec<(u32, f64, Option<f64>)> = Vec::new();
 
         // Arrival events with the wall-clock-faithful normalization
         // (see the `basic` module docs): P(arrival matching rule j) =
@@ -245,50 +287,49 @@ impl CompactModel {
         // unless a blocker covers it: a higher-priority cached rule when j
         // is cached, otherwise any cached or higher-priority rule. The
         // relevant rates are added in ascending flow order, as
-        // `relevant_flow_ids` lists them.
-        let gammas: Vec<(RuleId, f64, Option<f64>)> = self
-            .rules
-            .ids()
-            .filter_map(|j| {
-                let bit = 1u32 << j.0;
-                let higher = bit - 1;
-                let blockers = if mask & bit != 0 {
-                    mask & higher
-                } else {
-                    mask | higher
-                };
-                let g: f64 = self.covered[j.0]
-                    .iter()
-                    .filter(|f| self.cover_masks[f.0 as usize] & blockers == 0)
-                    .map(|&f| self.rates.rate(f))
-                    .sum();
-                (g > 0.0).then(|| {
-                    let keep = target.and_then(|(cover, rate)| {
-                        (cover & bit != 0 && cover & blockers == 0)
-                            .then(|| ((g - rate) / g).max(0.0))
-                    });
-                    (j, g, keep)
-                })
-            })
-            .collect();
+        // `relevant_flow_ids` lists them. Rules with `γ > 0` are kept as
+        // (bit, γ, factor for a `target` arrival).
+        let mut gammas = [(0u32, 0.0f64, None::<f64>); MAX_RULES];
+        let mut n_gammas = 0;
+        for (j, covered) in self.covered.iter().enumerate() {
+            let bit = 1u32 << j;
+            let higher = bit - 1;
+            let blockers = if mask & bit != 0 {
+                mask & higher
+            } else {
+                mask | higher
+            };
+            let g: f64 = covered
+                .iter()
+                .filter(|f| self.cover_masks[f.0 as usize] & blockers == 0)
+                .map(|&f| self.rates.rate(f))
+                .sum();
+            if g > 0.0 {
+                let keep = target.and_then(|(cover, rate)| {
+                    (cover & bit != 0 && cover & blockers == 0).then(|| ((g - rate) / g).max(0.0))
+                });
+                gammas[n_gammas] = (bit, g, keep);
+                n_gammas += 1;
+            }
+        }
+        let gammas = &gammas[..n_gammas];
         let g_total: f64 = gammas.iter().map(|(_, g, _)| g).sum();
         let p_any = if g_total > 0.0 {
             1.0 - (-g_total).exp()
         } else {
             0.0
         };
-        for &(j, g, keep) in &gammas {
+        for &(bit, g, keep) in gammas {
             let w = p_any * g / g_total;
-            if cached.contains(&j) {
+            if mask & bit != 0 {
                 row.push((mask, w, keep));
-            } else if cached.len() < self.capacity {
-                row.push((mask | (1 << j.0), w, keep));
+            } else if n_cached < self.capacity {
+                row.push((mask | bit, w, keep));
             } else {
-                for (pos, &victim) in cached.iter().enumerate() {
+                for (pos, victim) in mask_bits(mask).enumerate() {
                     let pe = analysis.evict[pos];
                     if pe > 0.0 {
-                        let to = (mask & !(1 << victim.0)) | (1 << j.0);
-                        row.push((to, w * pe, keep));
+                        row.push(((mask & !victim) | bit, w * pe, keep));
                     }
                 }
             }
@@ -300,42 +341,34 @@ impl CompactModel {
         // (Fig. 5 shows one rule leaving per transition). Expiry does
         // not displace arrival probability; the quiet event absorbs
         // whatever remains.
-        let mut q_expire: Vec<f64> = Vec::with_capacity(cached.len());
-        for pos in 0..cached.len() {
+        let mut q_expire = [0.0f64; MAX_RULES];
+        let q_expire = &mut q_expire[..n_cached];
+        for (pos, q) in q_expire.iter_mut().enumerate() {
             let mut w = analysis.timeout[pos];
             for (pos2, &p2) in analysis.timeout.iter().enumerate() {
                 if pos2 != pos {
                     w *= 1.0 - p2;
                 }
             }
-            q_expire.push(w);
+            *q = w;
         }
         let mut q_total: f64 = q_expire.iter().sum();
         let budget = 1.0 - p_any;
         if q_total > budget && q_total > 0.0 {
             // Hazards larger than the non-arrival share: rescale so the
             // row stays a distribution (rare; very short timeouts).
-            for q in &mut q_expire {
+            for q in q_expire.iter_mut() {
                 *q *= budget / q_total;
             }
             q_total = budget;
         }
-        for (pos, &j) in cached.iter().enumerate() {
-            if q_expire[pos] > 0.0 {
-                row.push((mask & !(1 << j.0), q_expire[pos], None));
+        for (&q, bit) in q_expire.iter().zip(mask_bits(mask)) {
+            if q > 0.0 {
+                row.push((mask & !bit, q, None));
             }
         }
         // Quiet event: no arrival, no expiry.
         row.push((mask, budget - q_total, None));
-
-        let total: f64 = row.iter().map(|(_, w, _)| w).sum();
-        row.into_iter()
-            .map(|(to_mask, w, keep)| {
-                let prob = w / total;
-                let p = keep.map_or(prob, |k| prob * k);
-                (state_index(&self.states, to_mask), p)
-            })
-            .collect()
     }
 
     /// Number of states (`Σ_{n'=0}^{n} C(|Rules|, n')`).

@@ -5,8 +5,9 @@
 //! * [`MatrixBuilder`] accumulates edges (hash-indexed rows, so repeated
 //!   [`MatrixBuilder::add_edge`] calls are O(1) instead of an O(row)
 //!   scan) and supports the §IV-A1 row normalization;
-//! * [`CsrMatrix`] — produced by [`MatrixBuilder::freeze`] — is an
-//!   immutable compressed-sparse-row matrix carrying a precomputed
+//! * [`CsrMatrix`] — produced by [`MatrixBuilder::freeze`], or written
+//!   row by row by the compact model, which needs no random access — is
+//!   an immutable compressed-sparse-row matrix carrying a precomputed
 //!   transpose, so every evolution step is a cache-friendly gather into a
 //!   caller-provided scratch buffer with no per-step allocation.
 //!
@@ -153,6 +154,44 @@ impl MatrixBuilder {
             }
             row_ptr.push(col_idx.len());
         }
+        CsrMatrix::from_csr(n, row_ptr, col_idx, values)
+    }
+}
+
+/// A frozen, immutable sparse transition matrix in compressed-sparse-row
+/// form, with a precomputed transpose for gather-style evolution.
+///
+/// Produced by [`MatrixBuilder::freeze`], or by the compact model, which
+/// writes its rows straight into the CSR arrays. All evolution kernels
+/// ([`CsrMatrix::evolve_into`], [`CsrMatrix::evolve_n`],
+/// [`CsrMatrix::evolve_n_extrapolated`]) are bit-identical to the legacy
+/// row-list scatter: the transpose keeps each destination row's entries in
+/// ascending source order, so every accumulator sees the same additions in
+/// the same order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CsrMatrix {
+    n: usize,
+    /// Forward CSR (row = source state, insertion order preserved).
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    values: Vec<f64>,
+    /// Transposed CSR (row = destination state, ascending source order).
+    t_row_ptr: Vec<usize>,
+    t_col_idx: Vec<usize>,
+    t_values: Vec<f64>,
+}
+
+impl CsrMatrix {
+    /// Wraps forward CSR arrays (rows in the order their entries were
+    /// added) and computes the transpose, which lists each destination's
+    /// contributions in ascending source order.
+    pub(crate) fn from_csr(
+        n: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> CsrMatrix {
+        let nnz = col_idx.len();
         // Transpose: count in-degrees, prefix-sum, then fill by walking the
         // forward rows in source order — which leaves every transpose row
         // sorted by ascending source state.
@@ -183,37 +222,10 @@ impl MatrixBuilder {
             t_col_idx,
             t_values,
         };
-        debug_assert!(
-            frozen.csr_well_formed(),
-            "freeze produced malformed CSR arrays"
-        );
+        debug_assert!(frozen.csr_well_formed(), "malformed CSR arrays");
         frozen
     }
-}
 
-/// A frozen, immutable sparse transition matrix in compressed-sparse-row
-/// form, with a precomputed transpose for gather-style evolution.
-///
-/// Produced by [`MatrixBuilder::freeze`]. All evolution kernels
-/// ([`CsrMatrix::evolve_into`], [`CsrMatrix::evolve_n`],
-/// [`CsrMatrix::evolve_n_extrapolated`]) are bit-identical to the legacy
-/// row-list scatter: the transpose keeps each destination row's entries in
-/// ascending source order, so every accumulator sees the same additions in
-/// the same order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CsrMatrix {
-    n: usize,
-    /// Forward CSR (row = source state, insertion order preserved).
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    values: Vec<f64>,
-    /// Transposed CSR (row = destination state, ascending source order).
-    t_row_ptr: Vec<usize>,
-    t_col_idx: Vec<usize>,
-    t_values: Vec<f64>,
-}
-
-impl CsrMatrix {
     /// Structural invariants of both CSR encodings: pointer arrays span
     /// `n + 1` entries, start at 0, end at `nnz`, grow monotonically, and
     /// every column index is in range. Checked by `debug_assert!` at
@@ -386,8 +398,18 @@ impl CsrMatrix {
     /// mass leaks to the removed target-arrival transitions). Once the
     /// normalized shape and the ratio have both stabilized within `tol`,
     /// the remaining `steps - k` steps are applied as a scalar factor
-    /// `r^{steps-k}`. This turns the `T = 750`-step evolutions of the
-    /// paper's evaluation into ~100 steps with error below `tol`.
+    /// `r^{steps-k}`, with error below `tol`.
+    ///
+    /// The models this repository plans with rarely mix within the
+    /// horizon: on average the planner's evolutions run 729 of 750 steps
+    /// on the paper-scale benchmark workload, 624 of 750 on the LRU one
+    /// and 194 of 200 on the trial-heavy one. So the convergence check is
+    /// paid on nearly every step, and the call costs more than
+    /// [`CsrMatrix::evolve_n`]. On the paper-scale model, 750 steps took
+    /// 9.09 ms against 5.03 ms exact when the check summed the whole
+    /// shape delta on every step. The check now returns as soon as its
+    /// outcome is known, and the gap is 2–3 ms
+    /// (`results/bench_probe_selection.txt`).
     #[must_use]
     pub fn evolve_n_extrapolated(
         &self,
@@ -408,18 +430,27 @@ impl CsrMatrix {
             } else {
                 0.0
             };
-            // Shape change, scale-compensated.
-            let mut shape_delta = 0.0;
-            if total > 0.0 && prev_total > 0.0 {
-                for (&np, &cp) in next.iter().zip(&cur) {
-                    shape_delta += (np / total - cp / prev_total).abs();
+            // Converged when the ratio and the scale-compensated shape
+            // have both stopped moving. The shape sum runs only when the
+            // ratio is stable, and stops once it exceeds `tol`: its terms
+            // are non-negative, so the running sum never decreases and
+            // the full sum would exceed `tol` too.
+            let converged = (ratio - prev_ratio).abs() <= tol && {
+                let mut shape_delta = 0.0;
+                if total > 0.0 && prev_total > 0.0 {
+                    for (&np, &cp) in next.iter().zip(&cur) {
+                        shape_delta += (np / total - cp / prev_total).abs();
+                        if shape_delta > tol {
+                            break;
+                        }
+                    }
                 }
-            }
-            let ratio_stable = (ratio - prev_ratio).abs() <= tol;
+                shape_delta <= tol
+            };
             std::mem::swap(&mut cur, &mut next);
             prev_total = total;
             prev_ratio = ratio;
-            if shape_delta <= tol && ratio_stable {
+            if converged {
                 let remaining = (steps - k - 1) as f64;
                 let factor = if ratio >= 1.0 {
                     1.0

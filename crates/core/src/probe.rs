@@ -199,10 +199,13 @@ impl<'a, M: SwitchModel> ProbePlanner<'a, M> {
     /// Evolves `I_T = Aᵀ·I₀` and `J_T = Âᵀ·I₀` (Eqn 8) for a window of
     /// `horizon` steps ending now, scoring candidates serially.
     ///
-    /// Long horizons are computed with geometric extrapolation once the
-    /// chain has mixed (see
+    /// Both evolutions stop early, extrapolating geometrically, once the
+    /// chain's shape and decay ratio have settled (see
     /// [`CsrMatrix::evolve_n_extrapolated`](crate::CsrMatrix::evolve_n_extrapolated)),
-    /// with per-entry error far below the probe-analysis tolerances.
+    /// with per-entry error far below the probe-analysis tolerances. The
+    /// models planned here seldom settle within the horizon, though: on
+    /// the benchmark workloads the evolutions run on average 729 of 750
+    /// steps (paper scale), 624 of 750 (LRU) and 194 of 200 (trial-heavy).
     #[must_use]
     pub fn new(model: &'a M, target: FlowId, horizon: usize) -> Self {
         Self::with_policy(model, target, horizon, ExecPolicy::Serial)
@@ -213,19 +216,28 @@ impl<'a, M: SwitchModel> ProbePlanner<'a, M> {
     /// and [`ProbePlanner::best_sequence_exhaustive`] fans out across
     /// `policy`'s worker threads (bit-identical to serial — see the module
     /// docs).
+    ///
+    /// The two evolutions are independent, so they run as two items under
+    /// `policy` too: `I_T` in one, and building `Â` then evolving `J_T`
+    /// in the other.
     #[must_use]
     pub fn with_policy(model: &'a M, target: FlowId, horizon: usize, policy: ExecPolicy) -> Self {
         const TOL: f64 = 1e-11;
-        let (i_t, j_t) = obs::local::time(obs::metrics::PLANNER_EVOLVE_SECS, || {
-            (
-                model
-                    .matrix()
-                    .evolve_n_extrapolated(&model.initial(), horizon, TOL),
-                model
-                    .absent_matrix(target)
-                    .evolve_n_extrapolated(&model.initial(), horizon, TOL),
-            )
+        let mut evolved = obs::local::time(obs::metrics::PLANNER_EVOLVE_SECS, || {
+            map_indexed(policy, 2, |k| {
+                let initial = model.initial();
+                if k == 0 {
+                    model.matrix().evolve_n_extrapolated(&initial, horizon, TOL)
+                } else {
+                    model
+                        .absent_matrix(target)
+                        .evolve_n_extrapolated(&initial, horizon, TOL)
+                }
+            })
         });
+        // `map_indexed` returns its two items in index order.
+        let j_t = evolved.swap_remove(1);
+        let i_t = evolved.swap_remove(0);
         ProbePlanner {
             model,
             target,

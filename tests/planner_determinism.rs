@@ -52,6 +52,7 @@ fn parallel_probe_scoring_bit_identical_across_thread_counts() {
         // of the same sequence — cached prefixes are an optimization, not
         // a semantic change.
         assert_eq!(serial.analyze_sequence(&greedy.probes), greedy);
+        let bits = |masses: &[f64]| masses.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
 
         for threads in THREAD_COUNTS {
             let parallel = ProbePlanner::with_policy(
@@ -59,6 +60,18 @@ fn parallel_probe_scoring_bit_identical_across_thread_counts() {
                 sc.target,
                 horizon,
                 ExecPolicy::with_threads(threads),
+            );
+            // `I_T` and `J_T` are evolved concurrently under the policy.
+            assert_eq!(
+                (
+                    bits(parallel.state_distribution().as_slice()),
+                    bits(parallel.absent_joint().as_slice())
+                ),
+                (
+                    bits(serial.state_distribution().as_slice()),
+                    bits(serial.absent_joint().as_slice())
+                ),
+                "scenario {i}: I_T / J_T differ at {threads} threads"
             );
             assert_eq!(
                 parallel
